@@ -8,10 +8,11 @@ the durable record; EXPERIMENTS.md is compiled from them).
 
 Workload selection defaults to the representative 12-workload subset;
 ``REPRO_SUITE=full`` runs all 70 (slower).  Simulation runs are memoized
-in-process and persisted to the on-disk result cache (``.repro_cache/``
-by default, ``REPRO_CACHE=0`` to disable), so shared (workload, config)
-pairs are simulated once and repeated benchmark invocations skip
-already-simulated cells.  Matrices fan out over ``REPRO_JOBS`` worker
+in-process and persisted to the experiment database
+(``.repro_store/experiments.sqlite`` by default, ``REPRO_STORE`` to move
+it, ``REPRO_CACHE=0`` to disable), so shared (workload, config) pairs are
+simulated once and repeated benchmark invocations skip already-simulated
+cells.  Matrices fan out over ``REPRO_JOBS`` worker
 processes; a per-session run manifest is printed at the end.
 """
 
@@ -21,7 +22,7 @@ import pathlib
 
 import pytest
 
-from repro.harness.cache import ResultCache, set_active_cache
+from repro.harness.cache import set_active_store
 from repro.harness.parallel import session_manifests, shutdown_pool
 from repro.harness.reporting import summarize_manifests
 
@@ -29,11 +30,13 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _result_cache():
-    """Install the persistent result cache for the whole benchmark session."""
-    previous = set_active_cache(ResultCache.from_env())
+def _experiment_store():
+    """Install the experiment database for the whole benchmark session."""
+    from repro.service.store import ExperimentStore
+
+    previous = set_active_store(ExperimentStore.from_env())
     yield
-    set_active_cache(previous)
+    set_active_store(previous)
     shutdown_pool()
 
 

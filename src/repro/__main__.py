@@ -58,23 +58,20 @@ Global options
 --------------
 ``--jobs N``       fan simulation matrices out over N worker processes
                    (default: ``REPRO_JOBS`` env var, else all cores).
-``--backend B``    matrix dispatch backend: ``serial``, ``pool``,
-                   ``lanes``, or ``distributed`` (sets ``REPRO_BACKEND``;
-                   default: the env var, else picked from --jobs/--lanes).
-                   ``distributed`` shards cells across worker processes
-                   via the service API (see docs/distributed.md).
-``--lanes N``      batch matrix cells into lane packs of up to N cells
-                   over the same workload (the SoA lane engine,
-                   ``repro.core.lanes``); sets ``REPRO_LANES`` for the
-                   invocation.  ``0`` forces scalar dispatch.  SimStats
-                   are bit-identical either way.
-``--cache-dir D``  persistent result cache location (default
-                   ``.repro_cache``); repeated invocations of the same
-                   matrix skip already-simulated cells.
-``--no-cache``     disable the persistent cache for this invocation.
-``--store FILE``   attach the durable experiment database as a second
-                   cache level below ``.repro_cache/`` (the ``serve``
-                   command always attaches its own).
+``--backend B``    matrix dispatch backend: ``serial``, ``pool`` or
+                   ``distributed`` (sets ``REPRO_BACKEND``; default: the
+                   env var, else picked from --jobs).  ``distributed``
+                   shards cells across worker processes via the service
+                   API (see docs/distributed.md).
+``--store FILE``   the experiment database results are read from and
+                   written to (default: ``REPRO_STORE``, else
+                   ``.repro_store/experiments.sqlite``); repeated
+                   invocations of the same matrix skip already-simulated
+                   cells, and ``repro runs`` / the dashboard show them.
+                   ``serve`` opens its own ``--db``; ``worker`` results
+                   go to the service's.
+``--no-cache``     attach no experiment database for this invocation
+                   (same as ``REPRO_CACHE=0``).
 """
 
 from __future__ import annotations
@@ -85,7 +82,7 @@ import os
 import sys
 
 from repro.harness import experiments, format_table, pct
-from repro.harness.cache import ResultCache, set_active_cache
+from repro.harness.cache import set_active_store
 from repro.harness.parallel import (
     BACKENDS,
     RunRequest,
@@ -161,7 +158,7 @@ def _config_ref(name: str) -> str:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     # one-cell matrix rather than a bare run_workload() call, so the
-    # --backend / --jobs / --lanes plumbing applies to `run` too
+    # --backend / --jobs plumbing applies to `run` too
     result = run_matrix(
         [RunRequest(args.workload, args.config, core_scale=args.scale)]
     )[0]
@@ -386,11 +383,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     total_wall = sum(r["wall_s"] for r in report["runs"])
     print(f"{out_path}: {len(report['runs'])} runs, {total_wall:.1f}s total "
           f"({'quick' if args.quick else 'full'} matrix)")
-    from repro.bench.compare import lanes_speedup
-
-    for prefix, ratio in sorted(lanes_speedup(report).items()):
-        print(f"lanes vs scalar [{prefix}]: {ratio:.2f}x "
-              f"(both sides of this run, noise-free)")
     if report["profile"] is not None:
         top = report["profile"]["functions"][:8]
         print("hottest simulator functions (tottime):")
@@ -419,7 +411,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.store import StoreSchemaError
 
     try:
-        # Service.create installs the store below the JSON cache, so
+        # Service.create installs the store behind the run memo, so
         # resubmitted matrices are served from the DB without re-simulation
         service = Service.create(
             db_path=args.db, artifact_dir=args.artifact_dir, jobs=args.jobs,
@@ -454,7 +446,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         job = client.submit(
             workloads=args.workloads, configs=args.configs,
             warmup=args.warmup, measure=args.measure,
-            core_scale=args.scale, lanes=args.lanes,
+            core_scale=args.scale,
             backend="distributed" if backend == "distributed" else None,
         )
     except ServiceError as exc:
@@ -610,22 +602,14 @@ def main(argv=None) -> int:
              "see docs/distributed.md)",
     )
     parser.add_argument(
-        "--lanes", type=int, default=None, metavar="N",
-        help="lane-pack width for matrix dispatch (sets REPRO_LANES; "
-             "0 = scalar engine, default: REPRO_LANES env var, else scalar)",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
-        help="do not read or write the persistent result cache",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="persistent result cache directory (default: .repro_cache)",
+        help="do not read or write the experiment database",
     )
     parser.add_argument(
         "--store", default=None, metavar="FILE",
-        help="attach the durable experiment database below the cache "
-             "(see docs/service.md)",
+        help="experiment database results are read from and written to "
+             "(default: REPRO_STORE, else .repro_store/experiments.sqlite; "
+             "see docs/service.md)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -663,12 +647,9 @@ def main(argv=None) -> int:
     p_val.add_argument("--budget", type=_parse_budget, default=None,
                        metavar="TIME", help="wall-clock budget, e.g. 120s or 2m")
     p_val.add_argument("--configs",
-                       default="baseline,acb,acb-dmp-reconv,acb@bullseye,"
-                               "acb+lanes",
+                       default="baseline,acb,acb-dmp-reconv,acb@bullseye",
                        help="comma-separated timing configurations to check "
-                            "(scheme names, optionally @<predictor>, "
-                            "optionally suffixed '+lanes' to drive the "
-                            "lane-engine functional replay)")
+                            "(scheme names, optionally @<predictor>)")
     p_val.add_argument("--instructions", type=int, default=1200,
                        help="architectural instructions per program")
     p_val.add_argument("--repro-dir", default=".repro_failures",
@@ -778,9 +759,6 @@ def main(argv=None) -> int:
     p_sub.add_argument("--measure", type=int, default=None)
     p_sub.add_argument("--scale", type=int, default=None,
                        help="core scale factor for every cell")
-    p_sub.add_argument("--lanes", type=int, default=None, metavar="N",
-                       help="lane-pack width the service should simulate "
-                            "the matrix under (0 = scalar engine)")
     p_sub.add_argument("--timeout", type=float, default=600.0,
                        help="seconds to wait for completion (default 600)")
     p_sub.add_argument("--no-wait", action="store_true",
@@ -845,33 +823,18 @@ def main(argv=None) -> int:
         os.environ["REPRO_JOBS"] = str(max(1, args.jobs))
     if args.backend is not None:
         os.environ["REPRO_BACKEND"] = args.backend
-    if args.lanes is not None:
-        os.environ["REPRO_LANES"] = str(max(0, args.lanes))
-    if args.no_cache:
-        cache = None
-    elif args.cache_dir is not None:
-        cache = ResultCache(args.cache_dir, enabled=True)
-    else:
-        cache = ResultCache.from_env()
-    previous = set_active_cache(cache)
-    previous_store = None
-    if args.store is not None and args.command != "serve":
-        from repro.harness.cache import set_active_store
+    store = None
+    if not args.no_cache and args.command not in ("serve", "worker"):
         from repro.service.store import ExperimentStore
 
         # tolerant attach: a broken store degrades to warnings, it must
         # never fail a CLI run that would otherwise simulate fine
-        previous_store = set_active_store(
-            ExperimentStore(args.store, strict=False)
-        )
+        store = ExperimentStore.from_env(args.store)
+    previous = set_active_store(store)
     try:
         return args.func(args)
     finally:
-        set_active_cache(previous)
-        if args.store is not None and args.command != "serve":
-            from repro.harness.cache import set_active_store
-
-            set_active_store(previous_store)
+        set_active_store(previous)
         _report_manifests()
 
 

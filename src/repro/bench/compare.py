@@ -71,31 +71,6 @@ def compare_reports(baseline: Dict[str, Any], new: Dict[str, Any]) -> CompareRes
     return result
 
 
-def lanes_speedup(report: Dict[str, Any]) -> Dict[str, float]:
-    """Lanes-vs-scalar matrix throughput ratios *within* one report.
-
-    Matrix targets come in ``<prefix>:scalar`` / ``<prefix>:lanes`` pairs
-    (e.g. ``matrix:fig6``); for every pair present, returns
-    ``{prefix: lanes_cells_per_s / scalar_cells_per_s}``.  Unlike the
-    baseline comparison this needs no second report — both runs sit in the
-    same one, so the ratio is machine-noise-free by construction.
-    """
-    runs = runs_by_name(report)
-    out: Dict[str, float] = {}
-    for name, run in runs.items():
-        if run.get("group") != "matrix" or not name.endswith(":lanes"):
-            continue
-        prefix = name[: -len(":lanes")]
-        scalar = runs.get(prefix + ":scalar")
-        if not scalar:
-            continue
-        lanes_rate = run.get("cells_per_s")
-        scalar_rate = scalar.get("cells_per_s")
-        if lanes_rate and scalar_rate:
-            out[prefix] = lanes_rate / scalar_rate
-    return out
-
-
 def format_compare(result: CompareResult, baseline_tag: str = "baseline") -> str:
     """Human-readable comparison table."""
     lines = [

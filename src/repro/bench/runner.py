@@ -1,7 +1,7 @@
 """Timed bench execution and the opt-in cProfile stage breakdown.
 
 Each target is simulated in-process with a fresh :class:`~repro.core.Core`
-(never through the result cache — the point is to *time* the simulator),
+(never through the experiment store — the point is to *time* the simulator),
 and the wall clock covers core construction plus the full warmup+measure
 window.  Throughput is reported as simulated cycles and fetched micro-ops
 per wall second; the simulation outputs themselves (cycles, instructions,
@@ -39,12 +39,11 @@ _PROFILE_FILES = (
 def _run_matrix_target(target: BenchTarget) -> Dict[str, Any]:
     """Time one end-to-end ``run_matrix`` invocation (group ``matrix``).
 
-    Every caching layer is detached and the in-process memo cleared on
-    both sides of the run, so each matrix target simulates all its cells
-    from scratch — the scalar and lanes targets time identical work.
-    ``jobs=1`` keeps the worker pool out of the measurement.
+    The experiment store is detached and the in-process memo cleared on
+    both sides of the run, so the target simulates all its cells from
+    scratch.  ``jobs=1`` keeps the worker pool out of the measurement.
     """
-    from repro.harness import cache as result_cache
+    from repro.harness.cache import set_active_store
     from repro.harness.parallel import RunRequest, run_matrix
     from repro.harness.runner import clear_memo
 
@@ -54,19 +53,15 @@ def _run_matrix_target(target: BenchTarget) -> Dict[str, Any]:
         for workload in target.matrix_workloads
         for config in target.matrix_configs
     ]
-    saved_cache = result_cache.get_active_cache()
-    saved_store = result_cache.get_active_store()
-    result_cache.set_active_cache(None)
-    result_cache.set_active_store(None)
+    saved_store = set_active_store(None)
     clear_memo()
     try:
         started = time.perf_counter()
-        results = run_matrix(requests, jobs=1, lanes=target.lanes)
+        results = run_matrix(requests, jobs=1)
         wall = time.perf_counter() - started
     finally:
         clear_memo()
-        result_cache.set_active_cache(saved_cache)
-        result_cache.set_active_store(saved_store)
+        set_active_store(saved_store)
 
     cycles = sum(r.stats.cycles for r in results)
     uops = sum(r.stats.retired_uops for r in results)
@@ -87,13 +82,12 @@ def _run_matrix_target(target: BenchTarget) -> Dict[str, Any]:
         "ipc": round(instructions / cycles if cycles else 0.0, 4),
         "cells": len(requests),
         "cells_per_s": round(len(requests) / wall, 3),
-        "lanes": target.lanes,
     }
 
 
 def _run_target(target: BenchTarget) -> Dict[str, Any]:
-    from repro.core import SKYLAKE_LIKE, Core, scaled
-    from repro.harness.runner import scheme_for, split_config
+    from repro.core import Core
+    from repro.harness.runner import prepare_run
     from repro.workloads import load_suite
 
     if target.matrix_workloads:
@@ -102,14 +96,10 @@ def _run_target(target: BenchTarget) -> Dict[str, Any]:
         workload = target.factory()
     else:
         (workload,) = load_suite([target.workload])
-    scheme = scheme_for(workload, target.config)
-    scheme_name, predictor = split_config(target.config)
-    if scheme_name == "oracle-bp":
-        predictor = "oracle"
+    cfg, scheme, predictor = prepare_run(workload, target.config)
 
     started = time.perf_counter()
-    core = Core(workload, scaled(1, SKYLAKE_LIKE), scheme=scheme,
-                predictor=predictor)
+    core = Core(workload, cfg, scheme=scheme, predictor=predictor)
     stats = core.run_window(target.warmup, target.measure)
     wall = time.perf_counter() - started
 

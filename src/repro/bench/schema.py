@@ -37,13 +37,12 @@ Each run record::
 
 Version 2 adds *matrix* run records (group ``"matrix"``): one record times
 an end-to-end ``run_matrix`` invocation rather than a single core.  Matrix
-records carry three extra keys::
+records carry two extra keys::
 
     {
       ...,
       "cells": 8,                   # matrix cells simulated
-      "cells_per_s": 6.5,           # cells / wall_s (matrix throughput)
-      "lanes": 8                    # lane-pack width (0 = scalar dispatch)
+      "cells_per_s": 6.5            # cells / wall_s (matrix throughput)
     }
 
 and their ``cycles``/``uops``/``instructions`` are sums over the matrix's
@@ -98,7 +97,6 @@ _RUN_REQUIRED = {
 _RUN_OPTIONAL = {
     "cells": int,
     "cells_per_s": _NUMERIC,
-    "lanes": int,
 }
 
 

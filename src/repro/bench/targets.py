@@ -20,11 +20,9 @@ ask of it:
   and Bullseye backends (:mod:`repro.workloads.frontier`): times the
   merge-point learner's retired-stream scanning and the long-history
   predictor, neither of which the other groups exercise.
-* ``matrix`` — end-to-end ``run_matrix`` over the fig6 cells, once under
-  scalar dispatch and once under the batched lane engine
-  (:mod:`repro.core.lanes`), reported as cells/sec: the number the lane
-  work is accountable to, and the pair ``--compare`` derives its
-  lanes-vs-scalar speedup line from.
+* ``matrix`` — end-to-end ``run_matrix`` over the fig6 cells under serial
+  dispatch, reported as cells/sec: what the harness around the engine
+  (lookup, dedup, manifests) costs on top of the simulations.
 
 ``quick=True`` shrinks the matrix (fewer workloads, smaller windows) to a
 CI-sized smoke run.  Target *names* are stable across quick and full modes
@@ -65,8 +63,6 @@ class BenchTarget:
     #: a single core run; ``workload``/``config`` become summary labels.
     matrix_workloads: tuple = ()
     matrix_configs: tuple = ()
-    #: lane width for matrix targets (0 = scalar dispatch).
-    lanes: int = 0
 
 
 def bench_targets(quick: bool = False) -> List[BenchTarget]:
@@ -119,21 +115,15 @@ def bench_targets(quick: bool = False) -> List[BenchTarget]:
             factory=lambda: load_frontier_workload("frontier_far_merge"),
         ))
 
-    # end-to-end run_matrix throughput over the fig6 cells, scalar dispatch
-    # vs the lane engine (repro.core.lanes) — the pair the lanes speedup
-    # line in `repro bench --compare` is computed from.  jobs is pinned to
-    # 1 inside the runner so this times the engine, not the worker pool.
-    from repro.core.lanes import DEFAULT_LANES
-
-    for mode, lanes in (("scalar", 0), ("lanes", DEFAULT_LANES)):
-        targets.append(BenchTarget(
-            name=f"matrix:fig6:{mode}", group="matrix",
-            workload="representative", config="baseline+acb",
-            warmup=fig6_warmup, measure=fig6_measure,
-            matrix_workloads=tuple(fig6_names),
-            matrix_configs=("baseline", "acb"),
-            lanes=lanes,
-        ))
+    # end-to-end run_matrix throughput over the fig6 cells.  jobs is pinned
+    # to 1 inside the runner so this times the engine, not the worker pool.
+    targets.append(BenchTarget(
+        name="matrix:fig6:scalar", group="matrix",
+        workload="representative", config="baseline+acb",
+        warmup=fig6_warmup, measure=fig6_measure,
+        matrix_workloads=tuple(fig6_names),
+        matrix_configs=("baseline", "acb"),
+    ))
 
     micro_warmup, micro_measure = (1000, 4000) if quick else (2000, 12000)
     for kernel, factory in MICRO_WORKLOADS.items():

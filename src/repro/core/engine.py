@@ -66,18 +66,13 @@ class Core:
         scheme: Optional[PredicationScheme] = None,
         predictor: Optional[str] = None,
         seed_offset: int = 0,
-        func: Optional[FunctionalExecutor] = None,
     ):
         config.validate()
         self.workload = workload
         self.program = workload.program
         self._instrs = workload.program.instructions  # direct tuple for fetch
         self.config = config
-        # the functional stream is injectable so the lane engine
-        # (repro.core.lanes) can hand N cores replay views over one shared
-        # memoized correct-path trace; any replacement must produce the
-        # exact step/snapshot/restore sequence of a fresh executor.
-        self.func = func if func is not None else FunctionalExecutor(workload, seed_offset)
+        self.func = FunctionalExecutor(workload, seed_offset)
         self.bp = make_predictor(predictor or config.predictor)
         self.btb = BranchTargetBuffer(config.btb_sets, config.btb_ways)
         self.mem = MemoryHierarchy(config.memory)

@@ -91,7 +91,7 @@ class SimStats:
             self.per_branch[pc] = BranchPCStats()
         return self.per_branch[pc]
 
-    # -- serialization (disk result cache, run manifests) ---------------
+    # -- serialization (experiment store, service API) ---------------
     def to_dict(self) -> Dict:
         """JSON-serializable form; inverse of :meth:`from_dict`."""
         out = {

@@ -3,9 +3,8 @@
 from repro.harness import experiments
 from repro.harness.cache import (
     CACHE_SCHEMA_VERSION,
-    ResultCache,
-    get_active_cache,
-    set_active_cache,
+    get_active_store,
+    set_active_store,
 )
 from repro.harness.parallel import (
     MatrixManifest,
@@ -42,7 +41,6 @@ __all__ = [
     "ACB_VARIANTS",
     "CACHE_SCHEMA_VERSION",
     "MatrixManifest",
-    "ResultCache",
     "RunRequest",
     "RunResult",
     "SCHEME_FACTORIES",
@@ -54,7 +52,7 @@ __all__ = [
     "format_manifest",
     "format_table",
     "geomean",
-    "get_active_cache",
+    "get_active_store",
     "last_manifest",
     "make_scheme",
     "normalized_run_key",
@@ -66,6 +64,6 @@ __all__ = [
     "run_workload",
     "scheme_for",
     "session_manifests",
-    "set_active_cache",
+    "set_active_store",
     "summarize_manifests",
 ]

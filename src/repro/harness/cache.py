@@ -1,46 +1,27 @@
-"""Persistent on-disk cache of simulation results.
+"""Run identity and the process-wide durable result store.
 
 Simulation runs are deterministic, so a (workload, configuration, scale,
 predictor, window) cell always produces the same :class:`SimStats`.  The
 in-memory memo in :mod:`repro.harness.runner` exploits that within one
-process; this module extends it across processes and invocations by
-persisting each :class:`~repro.harness.runner.RunResult` as a small JSON
-file under ``.repro_cache/``.
+process; the store installed here with :func:`set_active_store` (in
+practice :class:`repro.service.store.ExperimentStore`) extends it across
+processes and invocations.
 
-Files are keyed by a SHA-256 digest of the *normalized* run key (see
-:func:`repro.harness.runner.normalized_run_key`) plus
-:data:`CACHE_SCHEMA_VERSION`; bumping the version orphans every existing
-entry, which is the invalidation story for simulator-visible changes.
-Corrupted or schema-stale files are ignored (with a warning) and simply
-re-simulated, so the cache can never poison a run.
-
-The cache is *opt-in*: nothing touches disk until a cache is installed
-with :func:`set_active_cache` (the CLI and the benchmark harness do this;
-the unit-test suite does not).
+Both layers share one identity: :func:`key_digest` over the *normalized*
+run key (see :func:`repro.harness.runner.normalized_run_key`) plus
+:data:`CACHE_SCHEMA_VERSION`.  Bumping the version re-keys every run, which
+is the invalidation story for simulator-visible changes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import pathlib
-import tempfile
-from dataclasses import dataclass
 from typing import Optional, Tuple
-from warnings import warn
-
-from repro.core.stats import SimStats
 
 #: Bump whenever simulator behaviour or the serialized layout changes in a
-#: way that invalidates previously cached stats.
+#: way that invalidates previously stored stats.
 CACHE_SCHEMA_VERSION = 1
-
-DEFAULT_CACHE_DIR = ".repro_cache"
-
-#: Environment switches honoured by :meth:`ResultCache.from_env`.
-ENV_CACHE = "REPRO_CACHE"          # "0"/"off"/"no"/"false" disables
-ENV_CACHE_DIR = "REPRO_CACHE_DIR"  # overrides the directory
 
 #: Normalized run key: (workload, scheme, core_scale, predictor, warmup,
 #: measure) — always built by ``normalized_run_key``, never by hand.
@@ -48,157 +29,23 @@ RunKey = Tuple[str, str, int, Optional[str], int, int]
 
 
 def key_digest(key: RunKey) -> str:
-    """Stable digest of a normalized run key (cache file basename)."""
+    """Stable digest of a normalized run key (the store's ``run_id``)."""
     payload = json.dumps([CACHE_SCHEMA_VERSION, *key], sort_keys=False)
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
-@dataclass
-class CacheCounters:
-    """Hit/miss accounting for one :class:`ResultCache` instance."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    errors: int = 0
-
-
-class ResultCache:
-    """JSON-file result cache rooted at *cache_dir*.
-
-    ``get``/``put`` are safe under concurrent writers: entries are written
-    to a temporary file and atomically renamed into place, and identical
-    keys always serialize identical payloads.
-    """
-
-    def __init__(self, cache_dir: Optional[str] = None, enabled: bool = True):
-        self.cache_dir = pathlib.Path(cache_dir or DEFAULT_CACHE_DIR)
-        self.enabled = enabled
-        self.counters = CacheCounters()
-
-    @classmethod
-    def from_env(cls) -> "ResultCache":
-        """Cache configured from ``REPRO_CACHE`` / ``REPRO_CACHE_DIR``."""
-        enabled = os.environ.get(ENV_CACHE, "1").lower() not in (
-            "0", "off", "no", "false",
-        )
-        return cls(os.environ.get(ENV_CACHE_DIR), enabled=enabled)
-
-    # ------------------------------------------------------------------
-    def path_for(self, key: RunKey) -> pathlib.Path:
-        return self.cache_dir / f"{key_digest(key)}.json"
-
-    def get(self, key: RunKey):
-        """Cached ``RunResult`` for *key*, or ``None`` on any kind of miss."""
-        from repro.harness.runner import RunResult  # circular at import time
-
-        if not self.enabled:
-            return None
-        path = self.path_for(key)
-        try:
-            payload = json.loads(path.read_text())
-        except FileNotFoundError:
-            self.counters.misses += 1
-            return None
-        except (OSError, ValueError) as exc:
-            warn(f"ignoring corrupted cache file {path}: {exc}", RuntimeWarning)
-            self.counters.errors += 1
-            return None
-        try:
-            if payload["schema"] != CACHE_SCHEMA_VERSION:
-                self.counters.misses += 1
-                return None
-            entry = payload["result"]
-            result = RunResult(
-                workload=entry["workload"],
-                category=entry["category"],
-                paper_tag=entry["paper_tag"],
-                config=entry["config"],
-                stats=SimStats.from_dict(entry["stats"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            warn(f"ignoring corrupted cache file {path}: {exc}", RuntimeWarning)
-            self.counters.errors += 1
-            return None
-        self.counters.hits += 1
-        return result
-
-    def put(self, key: RunKey, result) -> None:
-        """Persist *result* under *key* (atomic write; no-op when disabled).
-
-        Write failures (read-only directory, disk full) degrade to a
-        warning — a broken cache must never fail a run that simulated
-        successfully.
-        """
-        if not self.enabled:
-            return
-        try:
-            self._write(key, result)
-        except OSError as exc:
-            warn(f"could not write cache file for {key}: {exc}", RuntimeWarning)
-            self.counters.errors += 1
-            return
-        self.counters.stores += 1
-
-    def _write(self, key: RunKey, result) -> None:
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "key": list(key),
-            "result": {
-                "workload": result.workload,
-                "category": result.category,
-                "paper_tag": result.paper_tag,
-                "config": result.config,
-                "stats": result.stats.to_dict(),
-            },
-        }
-        fd, tmp = tempfile.mkstemp(dir=str(self.cache_dir), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, self.path_for(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-
-# ----------------------------------------------------------------------
-# process-wide active cache
-# ----------------------------------------------------------------------
-_ACTIVE: Optional[ResultCache] = None
-
-
-def set_active_cache(cache: Optional[ResultCache]) -> Optional[ResultCache]:
-    """Install *cache* as the process-wide result cache; returns the old one."""
-    global _ACTIVE
-    previous, _ACTIVE = _ACTIVE, cache
-    return previous
-
-
-def get_active_cache() -> Optional[ResultCache]:
-    return _ACTIVE
-
-
-# ----------------------------------------------------------------------
-# process-wide durable store (the L2 behind this cache)
-# ----------------------------------------------------------------------
 #: Anything with ``get(key) -> RunResult|None`` and ``put(key, result)``
-#: keyed by the same normalized run keys — in practice
-#: :class:`repro.service.store.ExperimentStore`.  Registered here (rather
-#: than imported) so the harness stays ignorant of the service layer.
+#: keyed by normalized run keys.  Registered here (rather than imported) so
+#: the harness stays ignorant of the service layer.
 _ACTIVE_STORE = None
 
 
 def set_active_store(store):
-    """Install *store* as the durable result backend; returns the old one.
+    """Install *store* as the durable result layer; returns the old one.
 
-    The lookup chain becomes memo → this cache (L1) → *store* (L2); store
-    hits are promoted into both upper layers, and completed runs write
-    through to all three (:func:`repro.harness.runner.store_result`).
+    The lookup chain becomes memo → *store*; store hits enter the memo,
+    and completed runs write through to both
+    (:func:`repro.harness.runner.store_result`).
     """
     global _ACTIVE_STORE
     previous, _ACTIVE_STORE = _ACTIVE_STORE, store

@@ -219,8 +219,9 @@ def spawn_local_workers(
     """Start *count* subprocess workers pulling from *url*.
 
     Workers inherit the environment with ``src/`` prepended to
-    ``PYTHONPATH`` and the result cache disabled — every cell a worker
-    acks was actually simulated, so distributed accounting stays honest.
+    ``PYTHONPATH`` and no local experiment store (``REPRO_CACHE=0``) —
+    every cell a worker acks was actually simulated, so distributed
+    accounting stays honest.
     """
     import repro
 

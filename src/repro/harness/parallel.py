@@ -3,10 +3,10 @@
 Every figure driver ultimately evaluates a matrix of independent
 (workload × configuration × scale) simulation cells.  This module is the
 single submission point for such matrices: it deduplicates cells against
-the in-process memo and the persistent disk cache
+the in-process memo and the durable experiment store
 (:mod:`repro.harness.cache`), fans the remaining cells out over a
 ``ProcessPoolExecutor``, and records a per-matrix *run manifest* (cells
-simulated vs. cache hits, wall-time per cell).
+simulated vs. memo/store hits, wall-time per cell).
 
 Worker count comes from the ``jobs`` argument, else the ``REPRO_JOBS``
 environment variable, else ``os.cpu_count()``.  ``REPRO_JOBS=1`` — and any
@@ -24,14 +24,15 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.acb import AcbConfig
 from repro.core import CoreConfig
-from repro.harness import cache as result_cache
+from repro.harness.cache import set_active_store
 from repro.harness.runner import (
     RunResult,
+    _relabel,
     lookup_cached,
     normalized_run_key,
     run_workload,
@@ -55,12 +56,11 @@ __all__ = [
 ]
 
 #: Matrix dispatch backends (``--backend`` / ``REPRO_BACKEND``):
-#: serial       in-process, one cell at a time (jobs=1, scalar engine)
+#: serial       in-process, one cell at a time (the default with jobs=1)
 #: pool         ProcessPoolExecutor cell fan-out (the default with jobs>1)
-#: lanes        SoA lane packs over the pool (repro.core.lanes)
 #: distributed  lease-based workers over the service HTTP API
 #:              (repro.harness.distributed)
-BACKENDS = ("serial", "pool", "lanes", "distributed")
+BACKENDS = ("serial", "pool", "distributed")
 
 ENV_BACKEND = "REPRO_BACKEND"
 
@@ -69,8 +69,7 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     """Normalize the backend choice: argument, else ``REPRO_BACKEND``.
 
     Returns ``""`` when nothing was requested — ``run_matrix`` then picks
-    serial/pool/lanes from ``jobs`` and ``lanes`` exactly as before the
-    backend flag existed.
+    serial or pool from ``jobs``.
     """
     value = (backend if backend is not None
              else os.environ.get(ENV_BACKEND, "")).strip().lower()
@@ -114,7 +113,7 @@ class RunRequest:
         return self.workload if isinstance(self.workload, str) else self.workload.name
 
     def memo_key(self) -> Optional[tuple]:
-        """Normalized cache key, or ``None`` for uncacheable ad-hoc cells."""
+        """Normalized run key, or ``None`` for unkeyable ad-hoc cells."""
         if not isinstance(self.workload, str):
             return None
         if self.acb_config is not None or self.core_config is not None:
@@ -147,11 +146,8 @@ class CellRecord:
 
     workload: str
     config: str
-    source: str          # "run" | "memo" | "cache" | "store" | "dedup"
+    source: str          # "run" | "memo" | "store" | "dedup"
     wall_time: float = 0.0
-    #: lane-pack width the cell was simulated under (0 = scalar engine).
-    #: Cache/memo/dedup hits keep 0: nothing was simulated for them.
-    lanes: int = 0
     #: distributed dispatch only: the worker that executed the cell.
     worker: str = ""
 
@@ -162,10 +158,7 @@ class MatrixManifest:
 
     jobs: int = 1
     wall_time: float = 0.0
-    #: requested lane width for this matrix (0 = scalar dispatch).
-    lanes: int = 0
-    #: resolved dispatch backend ("serial" | "pool" | "lanes" |
-    #: "distributed") — see :data:`BACKENDS`.
+    #: resolved dispatch backend — see :data:`BACKENDS`.
     backend: str = "serial"
     cells: List[CellRecord] = field(default_factory=list)
     #: files written alongside the runs (trace exports, decision logs).
@@ -183,7 +176,7 @@ class MatrixManifest:
     def cache_hits(self) -> int:
         return sum(
             1 for c in self.cells
-            if c.source in ("memo", "cache", "store", "dedup")
+            if c.source in ("memo", "store", "dedup")
         )
 
     @property
@@ -229,18 +222,27 @@ def record_artifacts(paths, workload: str = "", config: str = "",
 # worker side
 # ----------------------------------------------------------------------
 def _execute_cell(request: RunRequest):
-    """Pool worker: simulate one cell, reporting its wall time.
-
-    Disk cache lookups/stores happen in the parent (which already probed
-    the cache before submitting), so workers run with caching and the
-    durable store disabled — this also keeps forked workers from using a
-    stale inherited handle.
-    """
-    result_cache.set_active_cache(None)
-    result_cache.set_active_store(None)
+    """Simulate one cell, reporting its wall time; failures name the cell."""
     start = time.monotonic()
-    result = run_workload(**request.kwargs())
+    try:
+        result = run_workload(**request.kwargs())
+    except Exception as exc:
+        raise _cell_error(request, exc) from exc
     return result, time.monotonic() - start
+
+
+def _pool_cell(request: RunRequest):
+    """Pool worker: :func:`_execute_cell` with the store detached.
+
+    Store lookups and writes happen in the parent (which already probed
+    the store before submitting); detaching also keeps forked workers
+    from using a stale inherited handle.
+    """
+    previous = set_active_store(None)
+    try:
+        return _execute_cell(request)
+    finally:
+        set_active_store(previous)
 
 
 def _cell_error(request: RunRequest, exc: BaseException) -> RuntimeError:
@@ -248,19 +250,6 @@ def _cell_error(request: RunRequest, exc: BaseException) -> RuntimeError:
         f"simulation cell {request.workload_name!r} × {request.config!r} "
         f"failed: {type(exc).__name__}: {exc}"
     )
-
-
-def _execute_pack(requests: List[RunRequest]):
-    """Pool worker: simulate one lane pack (see :mod:`repro.core.lanes`).
-
-    Same cache discipline as :func:`_execute_cell`: the parent owns every
-    cache/store layer, workers only simulate.
-    """
-    from repro.core.lanes import run_pack
-
-    result_cache.set_active_cache(None)
-    result_cache.set_active_store(None)
-    return run_pack(requests)
 
 
 # ----------------------------------------------------------------------
@@ -302,45 +291,27 @@ _ATEXIT_REGISTERED = True
 def run_matrix(
     requests: List[RunRequest],
     jobs: Optional[int] = None,
-    lanes: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> List[RunResult]:
     """Evaluate a full experiment matrix, results in request order.
 
-    Cells already satisfied by the memo or the disk cache are not
+    Cells already satisfied by the memo or the experiment store are not
     re-simulated; duplicate cells within one matrix are simulated once.
     The accounting is appended to the session manifests
     (:func:`last_manifest`).
 
-    ``lanes`` selects the dispatch mode for cells that must actually be
-    simulated: ``0``/``None``-with-no-env runs each cell through the
-    scalar driver; ``N >= 1`` groups cells into lane packs of up to N
-    cells over the same workload and steps each pack through the batched
-    engine (:mod:`repro.core.lanes`), which is bit-identical in SimStats.
-    Unset, the width comes from ``REPRO_LANES``.  Lane packs compose with
-    ``jobs``: packs (instead of cells) fan out over the worker pool.
-
-    ``backend`` (default ``REPRO_BACKEND``) overrides that selection —
-    ``serial``/``pool``/``lanes`` force one of the local modes, and
-    ``distributed`` ships pending cells to lease-based workers over the
-    service HTTP API (:mod:`repro.harness.distributed`).  SimStats are
-    bit-identical under every backend.
+    ``backend`` (default ``REPRO_BACKEND``, else serial with one job and
+    pool with more) picks how pending cells are simulated: in-process,
+    over the worker pool, or — ``distributed`` — on lease-based workers
+    over the service HTTP API (:mod:`repro.harness.distributed`).
+    SimStats are bit-identical under every backend.
     """
-    from repro.core.lanes import DEFAULT_LANES, resolve_lanes
-
     backend = resolve_backend(backend)
     jobs = default_jobs() if jobs is None else max(1, jobs)
-    lane_width = resolve_lanes(lanes)
     if backend == "serial":
-        jobs, lane_width = 1, 0
-    elif backend in ("pool", "distributed"):
-        lane_width = 0
-    elif backend == "lanes" and lane_width < 1:
-        lane_width = DEFAULT_LANES
-    resolved = backend or (
-        "lanes" if lane_width >= 1 else ("serial" if jobs <= 1 else "pool")
-    )
-    manifest = MatrixManifest(jobs=jobs, lanes=lane_width, backend=resolved)
+        jobs = 1
+    resolved = backend or ("serial" if jobs <= 1 else "pool")
+    manifest = MatrixManifest(jobs=jobs, backend=resolved)
     started = time.monotonic()
 
     results: List[Optional[RunResult]] = [None] * len(requests)
@@ -359,7 +330,7 @@ def run_matrix(
                 continue
             cached, source = lookup_cached(key)
             if cached is not None:
-                results[i] = _relabelled(cached, request)
+                results[i] = _relabel(cached, request.config)
                 records[i] = CellRecord(
                     request.workload_name, request.config, source
                 )
@@ -368,22 +339,16 @@ def run_matrix(
 
     if backend == "distributed":
         _run_distributed(requests, pending, results, records)
-    elif lane_width >= 1:
-        _run_lanes(requests, pending, results, records, lane_width, jobs)
     elif jobs <= 1 or len(pending) <= 1:
         _run_serial(requests, pending, results, records)
     else:
-        serial_ids = [i for i in pending if not _is_picklable(requests[i])]
-        skip = set(serial_ids)
-        pool_ids = [i for i in pending if i not in skip]
-        _run_pool(requests, pool_ids, results, records, jobs)
-        _run_serial(requests, serial_ids, results, records)
+        _run_pool(requests, pending, results, records, jobs)
 
     # duplicate cells inherit the owner's result under their own label
     for i, request in enumerate(requests):
         if results[i] is None and records[i] is not None and records[i].source == "dedup":
             owner = first_for_key[request.memo_key()]
-            results[i] = _relabelled(results[owner], request)
+            results[i] = _relabel(results[owner], request.config)
 
     manifest.cells = [r for r in records if r is not None]
     manifest.wall_time = time.monotonic() - started
@@ -436,12 +401,6 @@ def run_tasks(fn, items, jobs: Optional[int] = None) -> List:
     return results
 
 
-def _relabelled(result: RunResult, request: RunRequest) -> RunResult:
-    if result.config == request.config:
-        return result
-    return replace(result, config=request.config)
-
-
 def _is_picklable(request: RunRequest) -> bool:
     try:
         pickle.dumps(request)
@@ -456,7 +415,7 @@ def _run_distributed(requests, ids, results, records) -> None:
     Cells without a memo key (ad-hoc Workload objects, explicit config
     overrides) cannot travel over HTTP; they fall back to in-process
     serial execution, which is bit-identical.  Write-through to the local
-    cache/store happens *here*, after the embedded service (which swaps
+    store happens *here*, after the embedded service (which swaps
     the active store for its own temporary database) has shut down.
     """
     from repro.harness.distributed import dispatch_cells
@@ -477,104 +436,24 @@ def _run_distributed(requests, ids, results, records) -> None:
 
 def _run_serial(requests, ids, results, records) -> None:
     for i in ids:
-        request = requests[i]
-        start = time.monotonic()
-        try:
-            results[i] = run_workload(**request.kwargs())
-        except Exception as exc:
-            raise _cell_error(request, exc) from exc
+        results[i], elapsed = _execute_cell(requests[i])
         records[i] = CellRecord(
-            request.workload_name, request.config, "run",
-            time.monotonic() - start,
+            requests[i].workload_name, requests[i].config, "run", elapsed
         )
 
 
-def _commit_pack(requests, pack, outcomes, results, records) -> None:
-    """Record one executed lane pack's results into the matrix slots."""
-    width = len(pack)
-    for i, (result, elapsed) in zip(pack, outcomes):
+def _run_pool(requests, ids, results, records, jobs) -> None:
+    """Fan picklable cells out over the pool; the rest run in-process."""
+    remote, local = [], []
+    for i in ids:
+        (remote if _is_picklable(requests[i]) else local).append(i)
+    outcomes = run_tasks(_pool_cell, [requests[i] for i in remote], jobs)
+    for i, (result, elapsed) in zip(remote, outcomes):
         results[i] = result
         records[i] = CellRecord(
-            requests[i].workload_name, requests[i].config, "run",
-            elapsed, lanes=width,
+            requests[i].workload_name, requests[i].config, "run", elapsed
         )
         key = requests[i].memo_key()
         if key is not None:
             store_result(key, result)
-
-
-def _run_lanes(requests, ids, results, records, width, jobs) -> None:
-    """Lane-pack dispatch: group, then run packs serially or over the pool."""
-    from repro.core.lanes import plan_packs, run_pack
-
-    packs = plan_packs(ids, requests, width)
-    serial_packs = packs
-    if jobs > 1 and len(packs) > 1:
-        serial_packs = [
-            p for p in packs if not all(_is_picklable(requests[i]) for i in p)
-        ]
-        skip = {id(p) for p in serial_packs}
-        pool_packs = [p for p in packs if id(p) not in skip]
-        if len(pool_packs) <= 1:
-            serial_packs = packs
-        else:
-            pool = _get_pool(jobs)
-            futures = {}
-            try:
-                for pack in pool_packs:
-                    futures[pool.submit(
-                        _execute_pack, [requests[i] for i in pack]
-                    )] = pack
-            except BrokenProcessPool as exc:
-                shutdown_pool()
-                raise RuntimeError(
-                    f"worker pool died while submitting lane packs: {exc}"
-                ) from exc
-            for future, pack in futures.items():
-                try:
-                    outcomes = future.result()
-                except BrokenProcessPool as exc:
-                    for other in futures:
-                        other.cancel()
-                    shutdown_pool()
-                    raise _cell_error(requests[pack[0]], exc) from exc
-                except Exception:
-                    for other in futures:
-                        other.cancel()
-                    # run_pack already names the failing cell
-                    raise
-                _commit_pack(requests, pack, outcomes, results, records)
-    for pack in serial_packs:
-        outcomes = run_pack([requests[i] for i in pack])
-        _commit_pack(requests, pack, outcomes, results, records)
-
-
-def _run_pool(requests, ids, results, records, jobs) -> None:
-    if not ids:
-        return
-    pool = _get_pool(jobs)
-    futures = {}
-    try:
-        for i in ids:
-            futures[pool.submit(_execute_cell, requests[i])] = i
-    except BrokenProcessPool as exc:
-        shutdown_pool()
-        raise RuntimeError(f"worker pool died while submitting cells: {exc}") from exc
-    for future, i in futures.items():
-        request = requests[i]
-        try:
-            result, elapsed = future.result()
-        except BrokenProcessPool as exc:
-            for other in futures:
-                other.cancel()
-            shutdown_pool()
-            raise _cell_error(request, exc) from exc
-        except Exception as exc:
-            for other in futures:
-                other.cancel()
-            raise _cell_error(request, exc) from exc
-        results[i] = result
-        records[i] = CellRecord(request.workload_name, request.config, "run", elapsed)
-        key = request.memo_key()
-        if key is not None:
-            store_result(key, result)
+    _run_serial(requests, local, results, records)

@@ -10,9 +10,10 @@ Window sizes default to the reduced scale of DESIGN.md §6 and can be
 overridden through the ``REPRO_WARMUP`` / ``REPRO_MEASURE`` environment
 variables (or per call).
 
-Completed runs are memoized in-process and, when a cache is installed via
-:mod:`repro.harness.cache`, persisted to disk so repeated invocations skip
-already-simulated cells.  Both layers share the same *normalized* key (see
+Completed runs are memoized in-process and, when an experiment store is
+installed via :func:`repro.harness.cache.set_active_store`, persisted to
+its SQLite database so repeated invocations skip already-simulated cells.
+Both layers share the same *normalized* key (see
 :func:`normalized_run_key`): configurations that denote the identical
 simulation — e.g. ``oracle-bp`` versus ``baseline`` with an explicit
 ``predictor="oracle"`` — collapse to one entry.
@@ -29,7 +30,7 @@ from repro.baselines import DhpScheme, DmpPbhScheme, DmpScheme, WishScheme
 from repro.core import SKYLAKE_LIKE, Core, CoreConfig, scaled
 from repro.core.predication import PredicationScheme
 from repro.core.stats import SimStats
-from repro.harness import cache as result_cache
+from repro.harness.cache import get_active_store
 from repro.workloads import Workload, load_suite
 from repro.workloads.trace import (
     TraceReplayWorkload,
@@ -183,13 +184,13 @@ def normalized_run_key(
     warmup: Optional[int] = None,
     measure: Optional[int] = None,
 ) -> Tuple[str, str, int, Optional[str], int, int]:
-    """Canonical memo/cache key for a suite-workload run.
+    """Canonical memo/store key for a suite-workload run.
 
     ``oracle-bp`` is ``baseline`` with the predictor forcibly swapped to
     ``oracle`` — any ``predictor`` argument is ignored by the simulator.
-    Normalizing here means the two spellings share one cache cell instead
+    Normalizing here means the two spellings share one cell instead
     of aliasing (``oracle-bp`` + stale predictor in the key) or missing
-    (re-simulating a ``predictor="oracle"`` baseline already on disk).
+    (re-simulating a ``predictor="oracle"`` baseline already in the store).
 
     Trace workloads are keyed by *content*: the ``trace:<ref>`` name is
     extended with a digest of the trace file's bytes, so re-converting or
@@ -197,7 +198,7 @@ def normalized_run_key(
 
     ``@predictor`` config spellings normalize the same way: the suffix is
     folded into the predictor slot, so ``"acb@bullseye"`` and
-    ``config="acb", predictor="bullseye"`` share one cache cell.
+    ``config="acb", predictor="bullseye"`` share one cell.
     """
     config, cfg_predictor = split_config(config)
     if cfg_predictor is not None:
@@ -233,13 +234,10 @@ def memo_size() -> int:
 
 
 def store_result(memo_key: tuple, result: RunResult) -> None:
-    """Record *result* in the memo and (when installed) the disk cache
-    and the durable experiment store — write-through across all layers."""
+    """Record *result* in the memo and (when installed) the durable
+    experiment store — write-through across both layers."""
     _MEMO[memo_key] = result
-    disk = result_cache.get_active_cache()
-    if disk is not None:
-        disk.put(memo_key, result)
-    store = result_cache.get_active_store()
+    store = get_active_store()
     if store is not None:
         store.put(memo_key, result)
 
@@ -252,28 +250,18 @@ def _relabel(result: RunResult, config: str) -> RunResult:
 
 
 def lookup_cached(memo_key: tuple) -> Tuple[Optional[RunResult], Optional[str]]:
-    """Probe memo, then disk cache, then the durable experiment store.
+    """Probe the memo, then the durable experiment store.
 
-    Returns ``(result, source)`` where source is ``"memo"``, ``"cache"``,
-    ``"store"`` or ``None``.  Hits promote upward: a disk hit enters the
-    memo, and a store hit additionally warms the disk cache — the JSON
-    cache is the L1 of the experiment database (docs/service.md).
+    Returns ``(result, source)`` where source is ``"memo"``, ``"store"``
+    or ``None``.  A store hit enters the memo.
     """
     if memo_key in _MEMO:
         return _MEMO[memo_key], "memo"
-    disk = result_cache.get_active_cache()
-    if disk is not None:
-        hit = disk.get(memo_key)
-        if hit is not None:
-            _MEMO[memo_key] = hit
-            return hit, "cache"
-    store = result_cache.get_active_store()
+    store = get_active_store()
     if store is not None:
         hit = store.get(memo_key)
         if hit is not None:
             _MEMO[memo_key] = hit
-            if disk is not None:
-                disk.put(memo_key, hit)
             return hit, "store"
     return None, None
 
@@ -289,9 +277,7 @@ def prepare_run(
     """Resolve one cell's ``(core config, scheme, predictor)``.
 
     The single source of truth for how a named configuration turns into
-    :class:`~repro.core.Core` constructor arguments — shared by the scalar
-    driver below and the lane engine (:mod:`repro.core.lanes`), so both
-    construct bit-identical cores for the same cell.
+    :class:`~repro.core.Core` constructor arguments.
     """
     scheme_name, cfg_predictor = split_config(config)
     if scheme_name not in SCHEME_FACTORIES:

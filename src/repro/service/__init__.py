@@ -6,8 +6,7 @@ that other tools talk to over HTTP (see ``docs/service.md``):
 ``store``
     :class:`ExperimentStore` — a schema-versioned SQLite database of every
     run ever executed, keyed by the same normalized config-hash digests as
-    the ``.repro_cache/`` JSON cache, so the cache is the L1 of a durable
-    store.
+    the in-process run memo it backs.
 ``jobs``
     :class:`JobQueue` — a background worker that executes submitted
     :class:`~repro.harness.parallel.RunRequest` matrices through

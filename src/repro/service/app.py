@@ -144,26 +144,6 @@ def _int_field(payload: Dict, field: str, problems: List[str]) -> Optional[int]:
     return value
 
 
-def parse_lanes(payload: Any) -> Optional[int]:
-    """Top-level ``lanes`` field of a submitted matrix.
-
-    ``None``/absent defers to the server's environment (``REPRO_LANES``);
-    ``0`` forces scalar dispatch; ``N >= 1`` requests lane packs of up to
-    N cells (:mod:`repro.core.lanes`).  The chosen width is recorded in
-    the job manifest so stored results say how they were produced.
-    """
-    if not isinstance(payload, dict):
-        return None
-    value = payload.get("lanes")
-    if value is None:
-        return None
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise BadRequest(
-            [f"lanes must be a non-negative integer, got {value!r}"]
-        )
-    return value
-
-
 def parse_backend(payload: Any) -> Optional[str]:
     """Top-level ``backend`` field of a submitted matrix.
 
@@ -304,7 +284,7 @@ class Service:
             started=utcnow(),
         )
         # while the service lives, its store backs every run_matrix call:
-        # the lookup chain is memo → disk cache → this database, and every
+        # the lookup chain is memo → this database, and every
         # simulated cell writes through (see repro.harness.runner)
         service._previous_store = set_active_store(store)
         return service
@@ -419,8 +399,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         payload = self._read_json()
         requests = parse_matrix(payload)
         job = self.server.service.queue.submit(
-            requests, lanes=parse_lanes(payload),
-            backend=parse_backend(payload),
+            requests, backend=parse_backend(payload),
         )
         self._send_json(202, {
             "job_id": job.job_id,

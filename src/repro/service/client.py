@@ -98,9 +98,7 @@ class ServiceClient:
         """Submit a matrix; returns the 202 body (``job_id``, cells).
 
         *defaults* become top-level body fields each cell may override —
-        ``warmup``/``measure``/``core_scale``/``predictor`` — plus the
-        matrix-level ``lanes`` width (0 = scalar engine, ``None`` lets the
-        server's ``REPRO_LANES`` decide; see docs/performance.md).
+        ``warmup``/``measure``/``core_scale``/``predictor``.
         *backend* ``"distributed"`` queues the cells for pull-based
         workers instead of the server's local job queue
         (docs/distributed.md).

@@ -7,11 +7,12 @@ shared process pool via :func:`~repro.harness.parallel.run_matrix` — and
 reports per-cell progress events as chunks complete, so the HTTP layer
 can stream them.
 
-Every completed cell is written through to the experiment store under its
-normalized config-hash ``run_id`` (idempotent), regardless of whether the
-cell was freshly simulated or served from the memo / JSON cache / store —
-so the durable database converges on the union of everything any client
-ever ran.
+Every completed cell lands in the experiment store under its normalized
+config-hash ``run_id`` (idempotent), whether it was freshly simulated or
+served from the memo or the store — so the durable database converges on
+the union of everything any client ever ran.  A simulated cell is written
+once, by the harness's write-through, and its row names the job that
+simulated it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.harness.cache import get_active_store
 from repro.harness.parallel import (
     CellRecord,
     RunRequest,
@@ -44,11 +46,8 @@ class JobCell:
     index: int
     request: RunRequest
     run_id: str
-    source: Optional[str] = None   # run | memo | cache | store | dedup
+    source: Optional[str] = None   # run | memo | store | dedup
     wall_time: float = 0.0
-    #: lane-pack width the cell was simulated under (0 = scalar engine);
-    #: recorded so stored results remain reproducible.
-    lanes: int = 0
     #: distributed dispatch only: the worker that acked this cell.
     worker: Optional[str] = None
     result: Optional[RunResult] = None
@@ -63,7 +62,6 @@ class JobCell:
         if self.source is not None:
             out["source"] = self.source
             out["wall_time"] = round(self.wall_time, 4)
-            out["lanes"] = self.lanes
         if self.worker is not None:
             out["worker"] = self.worker
         return out
@@ -76,8 +74,6 @@ class Job:
     job_id: str
     cells: List[JobCell]
     request: Dict[str, Any]
-    #: requested lane width (None: server environment decides).
-    lanes: Optional[int] = None
     #: "local": executed by this server's queue thread via ``run_matrix``;
     #: "distributed": cells are leased to pull-based workers over HTTP.
     backend: str = "local"
@@ -106,7 +102,7 @@ class Job:
     def cache_hits(self) -> int:
         return sum(
             1 for c in self.cells
-            if c.source in ("memo", "cache", "store", "dedup")
+            if c.source in ("memo", "store", "dedup")
         )
 
     @property
@@ -146,7 +142,6 @@ class Job:
             "job_id": self.job_id,
             "backend": self.backend,
             "wall_time": round(self.wall_time, 4),
-            "lanes": self.lanes,
             "cells": [c.summary() for c in self.cells],
         }
 
@@ -202,14 +197,8 @@ class JobQueue:
 
     # ------------------------------------------------------------------
     def submit(self, requests: List[RunRequest],
-               lanes: Optional[int] = None,
                backend: Optional[str] = None) -> Job:
         """Enqueue a matrix; returns the (still queued) job immediately.
-
-        *lanes* selects the dispatch mode each chunk's ``run_matrix`` uses
-        (see :mod:`repro.core.lanes`); ``None`` defers to the server's
-        ``REPRO_LANES`` environment.  Results are bit-identical either
-        way; the manifest records the width actually used per cell.
 
         *backend* ``"distributed"`` skips the local queue thread entirely:
         the cells become pending rows in the store's lease table, and the
@@ -231,9 +220,7 @@ class JobQueue:
         job = Job(
             job_id=new_job_id(),
             cells=cells,
-            request={"cells": [c.summary() for c in cells], "lanes": lanes,
-                     "backend": backend},
-            lanes=lanes,
+            request={"cells": [c.summary() for c in cells], "backend": backend},
             backend=backend,
         )
         job.add_event("queued", total=job.total)
@@ -352,13 +339,12 @@ class JobQueue:
                 **cell,
                 "source": "run",
                 "wall_time": round(row["wall_time"], 4) if row else 0.0,
-                "lanes": 0,
                 "worker": row["worker"] if row else None,
             })
         self.store.update_job(
             job_id, status="done", finished=utcnow(),
             manifest={"job_id": job_id, "backend": "distributed",
-                      "wall_time": 0.0, "lanes": None, "cells": cells},
+                      "wall_time": 0.0, "cells": cells},
         )
 
     def get(self, job_id: str) -> Optional[Job]:
@@ -409,24 +395,24 @@ class JobQueue:
         self.store.update_job(job.job_id, status="running", started=job.started)
         started = time.monotonic()
         # progress granularity: one pool-width of cells per run_matrix call
-        # — scaled by the lane width when lane packs are on, so chunking
-        # never splits cells that would have shared a pack.
-        from repro.core.lanes import resolve_lanes
-
-        chunk = max(1, self.jobs or 1) * max(1, resolve_lanes(job.lanes))
+        chunk = max(1, self.jobs or 1)
         # a local job must never recurse into distributed dispatch, even
         # when the server itself runs under REPRO_BACKEND=distributed
         backend = resolve_backend(None)
         backend = "pool" if backend == "distributed" else (backend or None)
+        # with this store installed, run_matrix's write-through already
+        # persisted every simulated cell, owned by this job
+        writes_through = get_active_store() is self.store
         for lo in range(0, job.total, chunk):
             cells = job.cells[lo:lo + chunk]
-            results = run_matrix(
-                [c.request for c in cells], jobs=self.jobs, lanes=job.lanes,
-                backend=backend,
-            )
+            with self.store.owned_by(job.job_id):
+                results = run_matrix(
+                    [c.request for c in cells], jobs=self.jobs, backend=backend,
+                )
             manifest = last_manifest()
             records = manifest.cells if manifest is not None else []
-            if len(records) != len(cells):  # another thread's manifest raced in
+            raced = len(records) != len(cells)
+            if raced:  # another thread's manifest raced in
                 records = [
                     CellRecord(c.request.workload_name, c.request.config, "run")
                     for c in cells
@@ -435,10 +421,10 @@ class JobQueue:
                 cell.result = result
                 cell.source = record.source
                 cell.wall_time = record.wall_time
-                cell.lanes = record.lanes
-                self.store.put(
-                    cell.request.memo_key(), result, job_id=job.job_id
-                )
+                if raced or not writes_through or record.source != "run":
+                    self.store.put(
+                        cell.request.memo_key(), result, job_id=job.job_id
+                    )
                 job.add_event(
                     "cell",
                     done=job.done_cells,

@@ -1,18 +1,15 @@
 """The experiment database: a durable, queryable store of every run.
 
-``.repro_cache/`` (:mod:`repro.harness.cache`) is a content-addressed JSON
-cache: fast, disposable, one file per cell.  This module is the layer
-*below* it — a single SQLite file that keeps every :class:`RunResult` ever
-executed, plus the jobs that produced them and any trace artifacts they
-exported, so experiment history survives cache eviction and is queryable
-by config hash (``repro runs``, ``GET /api/v1/runs``).
+The only result layer behind the in-process run memo: a single SQLite
+file that keeps every :class:`RunResult` ever executed, plus the jobs that
+produced them and any trace artifacts they exported, queryable by config
+hash (``repro runs``, ``GET /api/v1/runs``).  The CLI attaches one by
+default (:meth:`ExperimentStore.from_env`); the service opens its own.
 
-Key discipline — **cache-key parity**: a run's ``run_id`` is
+Key discipline — **key parity**: a run's ``run_id`` is
 :func:`repro.harness.cache.key_digest` over the *same* normalized run key
-the JSON cache uses.  The same configuration therefore hashes to the same
-identity in both stores, the cache is literally the L1 of this store, and
-bumping ``CACHE_SCHEMA_VERSION`` (the invalidation story for
-simulator-visible changes) re-keys new runs while old rows remain as
+the memo uses, so bumping ``CACHE_SCHEMA_VERSION`` (the invalidation story
+for simulator-visible changes) re-keys new runs while old rows remain as
 queryable history.
 
 Schema evolution: the ``meta`` table records ``schema_version``.  Opening
@@ -36,6 +33,7 @@ import sqlite3
 import threading
 import time
 import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Any, Dict, List, Optional
@@ -55,6 +53,10 @@ DEFAULT_STORE_NAME = "experiments.sqlite"
 #: Environment override for the database path (CLI ``--store``/``--db``
 #: take precedence).
 ENV_STORE = "REPRO_STORE"
+
+#: ``"0"``/``"off"``/``"no"``/``"false"`` detach the durable layer
+#: (:meth:`ExperimentStore.from_env`); the CLI's ``--no-cache`` does the same.
+ENV_CACHE = "REPRO_CACHE"
 
 #: Lease states a distributed matrix cell moves through.
 LEASE_STATES = ("pending", "leased", "done")
@@ -148,13 +150,13 @@ def utcnow() -> str:
 
 
 def run_id_for(key: RunKey) -> str:
-    """The run's durable identity — identical to the L1 cache file stem."""
+    """The run's durable identity: the digest of its normalized run key."""
     return key_digest(key)
 
 
 @dataclass
 class StoreCounters:
-    """Hit/miss accounting, mirroring :class:`~repro.harness.cache.CacheCounters`."""
+    """Hit/miss accounting for one :class:`ExperimentStore` instance."""
 
     hits: int = 0
     misses: int = 0
@@ -169,7 +171,8 @@ class ExperimentStore:
     safe to share across threads, and concurrent writers from separate
     processes serialize on SQLite's file lock (``timeout`` seconds before
     giving up).  Writes of the same ``run_id`` are idempotent
-    (``INSERT OR IGNORE`` — identical keys serialize identical payloads).
+    (``INSERT OR IGNORE`` — identical keys serialize identical payloads),
+    so a row keeps the ``job_id`` of whichever job first wrote it.
     """
 
     def __init__(
@@ -190,6 +193,34 @@ class ExperimentStore:
         self._ready = False
         self._broken = False
         self._lock = threading.Lock()
+        self._owner = threading.local()
+
+    @classmethod
+    def from_env(cls, path: Optional[str] = None) -> Optional["ExperimentStore"]:
+        """The CLI's tolerant store, or ``None`` when ``REPRO_CACHE`` is off.
+
+        *path* falls back to ``REPRO_STORE``, else the default location.
+        Opened ``strict=False``: a broken database degrades to warnings.
+        """
+        if os.environ.get(ENV_CACHE, "1").strip().lower() in (
+            "0", "off", "no", "false",
+        ):
+            return None
+        return cls(path, strict=False)
+
+    @contextmanager
+    def owned_by(self, job_id: str):
+        """Attribute rows this thread writes without a ``job_id`` to *job_id*.
+
+        The job queue wraps ``run_matrix`` in this, so the harness's own
+        write-through records which job simulated each cell.
+        """
+        previous = getattr(self._owner, "job_id", None)
+        self._owner.job_id = job_id
+        try:
+            yield
+        finally:
+            self._owner.job_id = previous
 
     # ------------------------------------------------------------------
     # connection / schema lifecycle
@@ -287,7 +318,7 @@ class ExperimentStore:
         return info
 
     # ------------------------------------------------------------------
-    # result-backend surface (duck-compatible with ResultCache)
+    # result-backend surface (what repro.harness.runner reads and writes)
     # ------------------------------------------------------------------
     def get(self, key: RunKey):
         """Stored ``RunResult`` for *key*, or ``None`` on any kind of miss."""
@@ -327,7 +358,13 @@ class ExperimentStore:
         return result
 
     def put(self, key: RunKey, result, job_id: Optional[str] = None) -> None:
-        """Persist *result* under *key* (idempotent; degrades on failure)."""
+        """Persist *result* under *key* (idempotent; degrades on failure).
+
+        Without a *job_id*, the row names the job of an enclosing
+        :meth:`owned_by` block on this thread, if any.
+        """
+        if job_id is None:
+            job_id = getattr(self._owner, "job_id", None)
         try:
             if not self._ensure():
                 return

@@ -22,16 +22,9 @@ from repro.workloads import Workload
 
 #: configurations the validator exercises by default: the plain OOO machine,
 #: the full ACB mechanism (the paper's headline configuration), ACB over the
-#: dynamic merge-point learner, ACB over the Bullseye H2P predictor, and ACB
-#: through the lane engine's replayed functional stream (``+lanes``) — the
-#: whole scheme/engine space has to retire the identical architectural trace.
-DEFAULT_CONFIGS = ("baseline", "acb", "acb-dmp-reconv", "acb@bullseye",
-                   "acb+lanes")
-
-#: config suffix that runs the cell over a :class:`repro.core.lanes.LaneFunc`
-#: replay view instead of a live functional executor — the engine-side
-#: machinery the batched lane packs are built on.
-LANES_SUFFIX = "+lanes"
+#: dynamic merge-point learner, and ACB over the Bullseye H2P predictor — the
+#: whole scheme space has to retire the identical architectural trace.
+DEFAULT_CONFIGS = ("baseline", "acb", "acb-dmp-reconv", "acb@bullseye")
 
 
 @dataclass
@@ -89,15 +82,8 @@ def run_config_trace(
     cfg = core_config if core_config is not None else SKYLAKE_LIKE
     if debug_checks and not cfg.debug_checks:
         cfg = replace(cfg, debug_checks=True)
-    engine_config = config
-    func = None
-    if engine_config.endswith(LANES_SUFFIX):
-        from repro.core.lanes import FuncTrace, LaneFunc
-
-        engine_config = engine_config[: -len(LANES_SUFFIX)]
-        func = LaneFunc(FuncTrace(workload))
-    scheme, predictor = _scheme_and_predictor(engine_config)
-    core = Core(workload, cfg, scheme=scheme, predictor=predictor, func=func)
+    scheme, predictor = _scheme_and_predictor(config)
+    core = Core(workload, cfg, scheme=scheme, predictor=predictor)
     trace = core.enable_arch_trace()
     out = ConfigTrace(config=config, trace=trace, checker_summary={})
     try:

@@ -10,9 +10,9 @@ harness matrix, experiment drivers):
 * ``trace:path/to/file.rbt.gz`` — any trace file on disk, native or
   CBP-style text.
 
-Because a trace file's *content* defines the simulation, cache identity
+Because a trace file's *content* defines the simulation, run identity
 comes from a digest of the bytes (:func:`trace_content_digest`) — the
-harness folds it into the memo/cache key so editing a trace in place can
+harness folds it into the memo/store key so editing a trace in place can
 never serve stale results.
 """
 

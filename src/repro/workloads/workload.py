@@ -62,7 +62,7 @@ class Workload:
     train: Optional["Workload"] = None
     _mem_defaults: Dict[int, MemBehavior] = field(default_factory=dict, repr=False)
     #: lazily-built dense decode table (:meth:`step_rows`), shared by every
-    #: executor over this workload — including all lanes of a pack.
+    #: executor over this workload.
     _step_rows: Optional[list] = field(default=None, repr=False)
 
     def mem_behavior(self, pc: int) -> MemBehavior:
@@ -93,8 +93,8 @@ class Workload:
         :data:`STEP_PLAIN` / :data:`STEP_COND` / :data:`STEP_JUMP` /
         :data:`STEP_MEM`.  A flat list indexed by pc replaces the per-pc
         dict memos the executor used to keep, and because the table lives
-        on the workload it is built once no matter how many executors (or
-        lanes) run the program.  Rows are filled lazily so a misconfigured
+        on the workload it is built once no matter how many executors run
+        the program.  Rows are filled lazily so a misconfigured
         instruction that is never executed keeps raising only when reached,
         exactly as before.
         """

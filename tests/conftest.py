@@ -6,8 +6,8 @@ import os
 
 import pytest
 
-# Keep the unit suite hermetic: no persistent result cache unless a test
-# opts in explicitly (the CLI honours REPRO_CACHE via ResultCache.from_env).
+# Keep the unit suite hermetic: no experiment store unless a test
+# opts in explicitly (the CLI honours REPRO_CACHE via ExperimentStore.from_env).
 os.environ.setdefault("REPRO_CACHE", "0")
 
 from repro.program import ProgramBuilder

@@ -17,7 +17,7 @@ from repro.bench import (
     run_bench,
     validate_report,
 )
-from repro.bench.compare import format_compare, lanes_speedup
+from repro.bench.compare import format_compare
 from repro.bench.schema import SCHEMA_NAME, SCHEMA_VERSION
 
 
@@ -80,56 +80,33 @@ class TestSchema:
 class TestMatrixGroup:
     @pytest.fixture(scope="class")
     def matrix_report(self):
-        """One real quick-mode run of the scalar/lanes matrix pair."""
+        """One real quick-mode run of the matrix target."""
         return run_bench(quick=True, tag="test", groups=["matrix"])
 
     def test_matrix_targets_pinned(self):
         for quick in (True, False):
             names = {t.name: t for t in bench_targets(quick=quick)
                      if t.group == "matrix"}
-            assert set(names) == {"matrix:fig6:scalar", "matrix:fig6:lanes"}
-            assert names["matrix:fig6:scalar"].lanes == 0
-            assert names["matrix:fig6:lanes"].lanes > 0
+            assert set(names) == {"matrix:fig6:scalar"}
             for t in names.values():
                 assert t.matrix_workloads and t.matrix_configs
 
     def test_matrix_report_is_schema_valid(self, matrix_report):
         assert validate_report(matrix_report) == []
         runs = {r["name"]: r for r in matrix_report["runs"]}
-        assert set(runs) == {"matrix:fig6:scalar", "matrix:fig6:lanes"}
+        assert set(runs) == {"matrix:fig6:scalar"}
         for run in runs.values():
             assert run["cells"] == 8  # 4 quick fig6 workloads × 2 configs
             assert run["cells_per_s"] > 0
-        assert runs["matrix:fig6:scalar"]["lanes"] == 0
-        assert runs["matrix:fig6:lanes"]["lanes"] > 0
-
-    def test_scalar_and_lanes_simulate_identical_work(self, matrix_report):
-        """The bit-identity invariant, visible in the report itself: both
-        dispatch modes sum the exact same cycles/uops/instructions."""
-        runs = {r["name"]: r for r in matrix_report["runs"]}
-        scalar, lanes = runs["matrix:fig6:scalar"], runs["matrix:fig6:lanes"]
-        for key in ("cycles", "uops", "instructions", "ipc"):
-            assert scalar[key] == lanes[key], key
-
-    def test_lanes_speedup_pairs_within_report(self, matrix_report):
-        ratios = lanes_speedup(matrix_report)
-        assert set(ratios) == {"matrix:fig6"}
-        assert ratios["matrix:fig6"] > 0
-
-    def test_lanes_speedup_ignores_unpaired_runs(self, matrix_report):
-        clone = json.loads(json.dumps(matrix_report))
-        clone["runs"] = [r for r in clone["runs"]
-                         if r["name"] != "matrix:fig6:scalar"]
-        assert lanes_speedup(clone) == {}
 
     def test_v1_baseline_still_accepted(self, micro_report):
-        """A pre-lanes (schema v1) baseline — no cells/cells_per_s/lanes
-        keys — must stay both schema-valid and comparable, so bumping the
+        """A pre-matrix (schema v1) baseline — no cells/cells_per_s keys —
+        must stay both schema-valid and comparable, so bumping the
         schema does not orphan committed baselines."""
         v1 = json.loads(json.dumps(micro_report))
         v1["schema_version"] = 1
         for run in v1["runs"]:
-            for key in ("cells", "cells_per_s", "lanes"):
+            for key in ("cells", "cells_per_s"):
                 run.pop(key, None)
         assert validate_report(v1) == []
         result = compare_reports(v1, micro_report)
@@ -138,10 +115,10 @@ class TestMatrixGroup:
     def test_optional_matrix_keys_are_validated(self, matrix_report):
         broken = json.loads(json.dumps(matrix_report))
         broken["runs"][0]["cells"] = "eight"
-        broken["runs"][1]["cells_per_s"] = None
+        broken["runs"][0]["cells_per_s"] = None
         problems = validate_report(broken)
-        assert any("cells" in p for p in problems)
-        assert any("cells_per_s" in p for p in problems)
+        assert any("'cells'" in p for p in problems)
+        assert any("'cells_per_s'" in p for p in problems)
 
 
 class TestCompare:

@@ -24,7 +24,7 @@ from repro.harness.parallel import RunRequest, run_matrix
 from repro.harness.runner import clear_memo
 from repro.service.store import ExperimentStore
 
-# Distinct windows so this module controls its own memo/cache hits.
+# Distinct windows so this module controls its own memo/store hits.
 WARMUP, MEASURE = 1500, 1700
 
 

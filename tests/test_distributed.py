@@ -39,7 +39,7 @@ from repro.service.store import (
     run_id_for,
 )
 
-# Distinct windows so this module controls its own memo/cache hits.
+# Distinct windows so this module controls its own memo/store hits.
 WARMUP, MEASURE = 1100, 1300
 
 
@@ -171,16 +171,15 @@ def _matrix_cells():
 
 
 def _serial_stats():
-    """Honest serial reference: no memo, no cache, no store attached.
+    """Honest serial reference: no memo, no store attached.
 
     Computed *before* the distributed job runs, so neither side can be
     answered from the other's stored rows — the comparison is between
     two independent simulations.
     """
-    from repro.harness.cache import set_active_cache, set_active_store
+    from repro.harness.cache import set_active_store
 
     previous_store = set_active_store(None)
-    previous_cache = set_active_cache(None)
     clear_memo()
     try:
         results = run_matrix(
@@ -190,7 +189,6 @@ def _serial_stats():
         )
     finally:
         clear_memo()
-        set_active_cache(previous_cache)
         set_active_store(previous_store)
     return [r.stats.to_dict() for r in results]
 

@@ -117,83 +117,6 @@ class TestRunMatrix:
         assert direct.stats == via_matrix.stats
 
 
-class TestLanesDispatch:
-    def test_lanes_dispatch_bit_identical(self):
-        scalar = run_matrix(_matrix_requests(), jobs=1, lanes=0)
-        clear_memo()
-        laned = run_matrix(_matrix_requests(), jobs=1, lanes=4)
-        for s, l in zip(scalar, laned):
-            assert s.workload == l.workload and s.config == l.config
-            assert s.stats == l.stats
-
-    def test_manifest_records_lane_widths(self):
-        run_matrix(_matrix_requests(), jobs=1, lanes=4)
-        manifest = last_manifest()
-        assert manifest.lanes == 4
-        # 3 configs per workload → each pack holds 3 lanes
-        assert all(c.source == "run" and c.lanes == 3 for c in manifest.cells)
-
-    def test_env_width_drives_dispatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LANES", "2")
-        run_matrix(_matrix_requests(), jobs=1)
-        manifest = last_manifest()
-        assert manifest.lanes == 2
-        # 3 configs per workload split into packs of 2 + 1
-        assert all(0 < c.lanes <= 2
-                   for c in manifest.cells if c.source == "run")
-
-    def test_cache_hits_bypass_lanes(self):
-        run_matrix(_matrix_requests(), jobs=1, lanes=4)
-        run_matrix(_matrix_requests(), jobs=1, lanes=4)
-        manifest = last_manifest()
-        assert manifest.simulated == 0 and manifest.cache_hits == 6
-        # nothing was simulated, so no cell carries a pack width
-        assert all(c.lanes == 0 for c in manifest.cells)
-
-    def test_duplicate_cells_dedup_inside_lane_matrix(self):
-        requests = [
-            RunRequest(workload="lammps", **FAST),
-            RunRequest(workload="lammps", **FAST),
-            RunRequest(workload="lammps", config="acb", **FAST),
-        ]
-        results = run_matrix(requests, jobs=1, lanes=4)
-        manifest = last_manifest()
-        assert manifest.simulated == 2
-        assert sum(1 for c in manifest.cells if c.source == "dedup") == 1
-        assert results[0].stats == results[1].stats
-
-    def test_lane_packs_fan_out_over_pool(self):
-        serial = run_matrix(_matrix_requests(), jobs=1, lanes=4)
-        clear_memo()
-        pooled = run_matrix(_matrix_requests(), jobs=2, lanes=4)
-        manifest = last_manifest()
-        assert manifest.lanes == 4 and manifest.simulated == 6
-        for s, p in zip(serial, pooled):
-            assert s.stats == p.stats
-
-    def test_non_picklable_pack_falls_back_to_serial(self):
-        workload = h2p_hammock_workload()
-        workload.__class__ = type("LocalWorkload", (Workload,), {})
-        requests = [
-            RunRequest(workload=workload, **FAST),
-            RunRequest(workload=workload, config="acb", **FAST),
-            RunRequest(workload="lammps", **FAST),
-            RunRequest(workload="lammps", config="acb", **FAST),
-        ]
-        results = run_matrix(requests, jobs=2, lanes=4)
-        assert [r.workload for r in results] == ["h2p", "h2p", "lammps", "lammps"]
-        assert all(c.source == "run" and c.lanes == 2
-                   for c in last_manifest().cells)
-
-    def test_lane_error_names_failing_cell(self):
-        requests = [
-            RunRequest(workload="lammps", **FAST),
-            RunRequest(workload="lammps", config="no-such-config", **FAST),
-        ]
-        with pytest.raises(RuntimeError, match="lammps.*no-such-config"):
-            run_matrix(requests, jobs=1, lanes=4)
-
-
 class TestPoolLifecycle:
     def test_shutdown_pool_reaps_workers(self):
         import repro.harness.parallel as parallel

@@ -123,6 +123,28 @@ def test_resubmission_served_from_experiment_store(service):
     assert rows[0]["stats"] == baseline  # durable and bit-identical
 
 
+def test_stored_run_names_the_job_that_simulated_it(service):
+    matrix = {"workloads": ["lammps"], "configs": ["baseline"],
+              "warmup": WARMUP + 2, "measure": MEASURE}
+    clear_memo()  # the first job must simulate the cell itself
+    first = service.submit(**matrix)
+    assert service.wait(first["job_id"], timeout=300)["simulated"] == 1
+    run_id = first["cells"][0]["run_id"]
+
+    def owner():
+        rows = service.runs(workload="lammps", config="baseline", limit=1000)
+        return next(r["job_id"] for r in rows if r["run_id"] == run_id)
+
+    assert owner() == first["job_id"]
+
+    # served from the store, the row keeps naming the job that simulated it
+    clear_memo()
+    again = service.submit(**matrix)
+    service.wait(again["job_id"], timeout=300)
+    assert service.results(again["job_id"])[0]["source"] == "store"
+    assert owner() == first["job_id"]
+
+
 def test_event_feed_cursor(service):
     job = service.submit(workloads=["lammps"], configs=["baseline"],
                          warmup=WARMUP, measure=MEASURE)

@@ -1,10 +1,10 @@
 """The SQLite experiment store: schema versioning, robustness, parity.
 
-The store is the durable L2 behind ``.repro_cache/`` — these tests pin
-the properties the service relies on: bit-exact round-trips, cache-key
-parity with :mod:`repro.harness.cache`, refusal of newer schemas,
-tolerance of corrupt/locked databases in non-strict mode, idempotent
-concurrent writers, and the memo → cache → store lookup chain.
+The store is the durable layer behind the run memo — these tests pin
+the properties the service relies on: bit-exact round-trips, key parity
+with :mod:`repro.harness.cache`, refusal of newer schemas, tolerance of
+corrupt/locked databases in non-strict mode, idempotent concurrent
+writers, and the memo → store lookup chain.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro.harness import cache as result_cache
-from repro.harness.cache import ResultCache, key_digest
+from repro.harness.cache import key_digest
 from repro.harness.runner import clear_memo, normalized_run_key, run_workload
 from repro.service import store as store_module
 from repro.service.store import (
@@ -55,12 +55,14 @@ def test_round_trip_bit_identical(store):
     assert loaded.stats.to_dict() == result.stats.to_dict()
 
 
-def test_cache_key_parity(tmp_path):
-    """run_id == key_digest == the L1 cache's file stem, per construction."""
+def test_cache_key_parity():
+    """run_id == key_digest of the memo's own normalized key."""
+    from repro.harness.parallel import RunRequest
+
     key = small_key()
     assert run_id_for(key) == key_digest(key)
-    cache = ResultCache(str(tmp_path / "cache"))
-    assert cache.path_for(key).stem == run_id_for(key)
+    request = RunRequest("lammps", "baseline", warmup=400, measure=600)
+    assert run_id_for(request.memo_key()) == run_id_for(key)
 
 
 def test_put_is_idempotent(store):
@@ -206,7 +208,7 @@ def test_concurrent_writers(store):
 
 
 # ----------------------------------------------------------------------
-# the lookup chain: memo → cache → store
+# the lookup chain: memo → store
 # ----------------------------------------------------------------------
 def test_store_backs_the_lookup_chain(tmp_path, store):
     from repro.harness.parallel import RunRequest, last_manifest, run_matrix

@@ -204,8 +204,7 @@ def check_bash(snippet: Snippet, subcommands: set, routes: list) -> Iterator[str
             continue
         if cmd == "python" and words[1:3] == ["-m", "repro"]:
             # global options that take a value before the subcommand
-            value_flags = {"--jobs", "--lanes", "--backend",
-                           "--cache-dir", "--store"}
+            value_flags = {"--jobs", "--backend", "--store"}
             sub = None
             for prev, word in zip(words[2:], words[3:]):
                 if not word.startswith("-") and prev not in value_flags:
