@@ -23,8 +23,8 @@ import pathlib
 import pytest
 
 from repro.harness.cache import set_active_store
-from repro.harness.parallel import session_manifests, shutdown_pool
-from repro.harness.reporting import summarize_manifests
+from repro.harness.parallel import session_summary, shutdown_pool
+from repro.harness.reporting import summarize_session
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -41,9 +41,9 @@ def _experiment_store():
 
 
 def pytest_terminal_summary(terminalreporter):
-    manifests = session_manifests()
-    if manifests:
-        terminalreporter.write_line(summarize_manifests(manifests))
+    summary = session_summary()
+    if summary.matrices:
+        terminalreporter.write_line(summarize_session(summary))
 
 
 def report(experiment_id: str, text: str) -> None:

@@ -88,9 +88,9 @@ from repro.harness.parallel import (
     RunRequest,
     resolve_backend,
     run_matrix,
-    session_manifests,
+    session_summary,
 )
-from repro.harness.reporting import summarize_manifests
+from repro.harness.reporting import summarize_session
 from repro.harness.runner import SCHEME_FACTORIES, split_config
 from repro.workloads import categories, suite_names
 from repro.workloads.frontier import is_frontier_name
@@ -538,8 +538,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     options = {}
     if args.ttl is not None:
         options["ttl"] = args.ttl
-    if args.poll is not None:
-        options["poll"] = args.poll
     try:
         completed = run_worker(
             url=url,
@@ -581,9 +579,9 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
 
 
 def _report_manifests() -> None:
-    manifests = session_manifests()
-    if manifests:
-        print(summarize_manifests(manifests), file=sys.stderr)
+    summary = session_summary()
+    if summary.matrices:
+        print(summarize_session(summary), file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -792,11 +790,9 @@ def main(argv=None) -> int:
     p_wrk.add_argument("--ttl", type=float, default=None, metavar="S",
                        help="lease deadline the worker asks for; renewed by "
                             "heartbeat at ttl/3 (default 15)")
-    p_wrk.add_argument("--poll", type=float, default=None, metavar="S",
-                       help="sleep between empty lease polls (default 0.25)")
     p_wrk.add_argument("--max-idle", type=float, default=None, metavar="S",
                        help="exit after the queue stays empty this long "
-                            "(0 = drain and stop; default: poll forever)")
+                            "(0 = drain and stop; default: wait forever)")
     p_wrk.add_argument("--once", action="store_true",
                        help="exit after completing a single cell")
     p_wrk.set_defaults(func=_cmd_worker)

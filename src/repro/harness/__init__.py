@@ -12,7 +12,7 @@ from repro.harness.parallel import (
     default_jobs,
     last_manifest,
     run_matrix,
-    session_manifests,
+    session_summary,
 )
 from repro.harness.reporting import (
     format_manifest,
@@ -20,7 +20,7 @@ from repro.harness.reporting import (
     geomean,
     pct,
     per_category,
-    summarize_manifests,
+    summarize_session,
 )
 from repro.harness.runner import (
     ACB_VARIANTS,
@@ -63,7 +63,7 @@ __all__ = [
     "run_matrix",
     "run_workload",
     "scheme_for",
-    "session_manifests",
+    "session_summary",
     "set_active_store",
-    "summarize_manifests",
+    "summarize_session",
 ]

@@ -12,7 +12,9 @@ The protocol is three POSTs (see docs/distributed.md):
 
 ``/api/v1/workers/lease``
     claim the oldest pending cell; the response carries the RunRequest
-    fields, a ``lease_id``, and a deadline ``ttl`` seconds out.
+    fields, a ``lease_id``, and a deadline ``ttl`` seconds out.  On an
+    empty queue the server holds the reply up to ``wait`` seconds until
+    a submit enqueues cells, so an idle worker neither sleeps nor spins.
 ``/api/v1/workers/heartbeat``
     renew the deadline while the cell simulates (a daemon thread here).
 ``/api/v1/workers/ack``
@@ -42,7 +44,6 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.harness.runner import run_workload
 
 __all__ = [
-    "DEFAULT_POLL",
     "DEFAULT_WORKER_TTL",
     "ENV_DIST_URL",
     "ENV_DIST_WORKERS",
@@ -57,9 +58,6 @@ __all__ = [
 #: wall time; the heartbeat thread renews at ttl/3 so only a *dead*
 #: worker lets its cell expire.
 DEFAULT_WORKER_TTL = 15.0
-
-#: Seconds an idle worker sleeps between empty lease polls.
-DEFAULT_POLL = 0.25
 
 #: Point matrix dispatch at an already-running service instead of booting
 #: an embedded one (``--backend distributed`` honors this).
@@ -106,39 +104,40 @@ def run_worker(
     url: Optional[str] = None,
     worker_id: Optional[str] = None,
     ttl: float = DEFAULT_WORKER_TTL,
-    poll: float = DEFAULT_POLL,
     max_idle: Optional[float] = None,
     once: bool = False,
     progress=None,
 ) -> int:
     """Pull-execute-ack until the queue stays empty; returns cells done.
 
-    *max_idle* bounds how long the worker keeps polling an empty queue
-    (``0`` exits on the first empty poll — drain-and-stop, used by the
-    docs walkthrough and tests); ``None`` polls forever.  *once* exits
+    *max_idle* bounds how long the worker waits on an empty queue after
+    its last cell (``0`` exits on the first empty lease — drain-and-stop,
+    used by the docs walkthrough and tests); ``None`` waits forever.
+    Each lease asks the server to hold an empty reply for the rest of
+    that idle time, at most ``LEASE_WAIT_CAP`` per request.  *once* exits
     after a single completed cell.  A stale ack (the lease expired
     mid-run and the cell was re-leased) is dropped and not counted.
     """
     from repro.service.client import ServiceClient, ServiceError
+    from repro.service.jobs import LEASE_WAIT_CAP
 
     client = ServiceClient(url)
     worker_id = worker_id or default_worker_id()
     completed = 0
-    idle_since: Optional[float] = None
+    idle_until: Optional[float] = None
     while True:
-        lease = client.lease(worker_id, ttl=ttl)
+        if max_idle is not None and idle_until is None:
+            idle_until = time.monotonic() + max_idle
+        wait = LEASE_WAIT_CAP if idle_until is None else min(
+            LEASE_WAIT_CAP, max(0.0, idle_until - time.monotonic())
+        )
+        lease = client.lease(worker_id, ttl=ttl, wait=wait)
         cell = lease.get("cell")
         if cell is None:
-            if max_idle is not None:
-                if max_idle <= 0:
-                    return completed
-                if idle_since is None:
-                    idle_since = time.monotonic()
-                elif time.monotonic() - idle_since >= max_idle:
-                    return completed
-            time.sleep(poll)
+            if idle_until is not None and time.monotonic() >= idle_until:
+                return completed
             continue
-        idle_since = None
+        idle_until = None
         lease_id = lease["lease_id"]
         stop = threading.Event()
         beat = threading.Thread(

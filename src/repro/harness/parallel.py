@@ -21,10 +21,11 @@ from __future__ import annotations
 import atexit
 import os
 import pickle
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Union
 
 from repro.acb import AcbConfig
@@ -45,13 +46,14 @@ __all__ = [
     "CellRecord",
     "MatrixManifest",
     "RunRequest",
+    "SessionSummary",
     "default_jobs",
     "last_manifest",
     "reset_manifests",
     "resolve_backend",
     "run_matrix",
     "run_tasks",
-    "session_manifests",
+    "session_summary",
     "shutdown_pool",
 ]
 
@@ -184,20 +186,58 @@ class MatrixManifest:
         return self.cache_hits / self.total if self.cells else 0.0
 
 
-#: manifests of every matrix submitted in this process, in order.
-_MANIFESTS: List[MatrixManifest] = []
+@dataclass
+class SessionSummary:
+    """Running totals over every matrix submitted in this process.
+
+    Kept instead of the manifests themselves, so a long-lived process (a
+    service, a benchmark loop) does not hold one record per cell it ever
+    ran.
+    """
+
+    matrices: int = 0
+    total: int = 0
+    simulated: int = 0
+    cache_hits: int = 0
+    wall_time: float = 0.0
+    artifacts: List[str] = field(default_factory=list)
+
+
+_SESSION = SessionSummary()
+_SESSION_LOCK = threading.Lock()
+#: each thread's most recent manifest: concurrent callers (the service's
+#: job queue next to request handlers) never see each other's
+_LAST = threading.local()
+
+
+def _record(manifest: MatrixManifest) -> None:
+    _LAST.manifest = manifest
+    with _SESSION_LOCK:
+        _SESSION.matrices += 1
+        _SESSION.total += manifest.total
+        _SESSION.simulated += manifest.simulated
+        _SESSION.cache_hits += manifest.cache_hits
+        _SESSION.wall_time += manifest.wall_time
+        _SESSION.artifacts.extend(manifest.artifacts)
 
 
 def last_manifest() -> Optional[MatrixManifest]:
-    return _MANIFESTS[-1] if _MANIFESTS else None
+    """The manifest of this thread's most recent matrix."""
+    return getattr(_LAST, "manifest", None)
 
 
-def session_manifests() -> List[MatrixManifest]:
-    return list(_MANIFESTS)
+def session_summary() -> SessionSummary:
+    """A copy of this process's running matrix totals."""
+    with _SESSION_LOCK:
+        return replace(_SESSION, artifacts=list(_SESSION.artifacts))
 
 
 def reset_manifests() -> None:
-    _MANIFESTS.clear()
+    """Forget the session totals and this thread's last manifest."""
+    global _SESSION
+    _LAST.manifest = None
+    with _SESSION_LOCK:
+        _SESSION = SessionSummary()
 
 
 def record_artifacts(paths, workload: str = "", config: str = "",
@@ -214,7 +254,7 @@ def record_artifacts(paths, workload: str = "", config: str = "",
                        wall_time=wall_time)
         )
     manifest.artifacts.extend(str(p) for p in paths)
-    _MANIFESTS.append(manifest)
+    _record(manifest)
     return manifest
 
 
@@ -232,15 +272,22 @@ def _execute_cell(request: RunRequest):
 
 
 def _pool_cell(request: RunRequest):
-    """Pool worker: :func:`_execute_cell` with the store detached.
+    """Pool worker: ``(result, wall time, source)`` for one cell.
 
     Store lookups and writes happen in the parent (which already probed
     the store before submitting); detaching also keeps forked workers
-    from using a stale inherited handle.
+    from using a stale inherited handle.  A long-lived worker keeps its
+    own run memo, so a cell the parent no longer remembers may still be
+    answered from it — reported as ``"memo"``, not as a simulation.
     """
     previous = set_active_store(None)
     try:
-        return _execute_cell(request)
+        key = request.memo_key()
+        if key is not None:
+            cached, source = lookup_cached(key)
+            if cached is not None:
+                return _relabel(cached, request.config), 0.0, source
+        return (*_execute_cell(request), "run")
     finally:
         set_active_store(previous)
 
@@ -297,8 +344,8 @@ def run_matrix(
 
     Cells already satisfied by the memo or the experiment store are not
     re-simulated; duplicate cells within one matrix are simulated once.
-    The accounting is appended to the session manifests
-    (:func:`last_manifest`).
+    The accounting becomes this thread's :func:`last_manifest` and is
+    added to the :func:`session_summary`.
 
     ``backend`` (default ``REPRO_BACKEND``, else serial with one job and
     pool with more) picks how pending cells are simulated: in-process,
@@ -352,7 +399,7 @@ def run_matrix(
 
     manifest.cells = [r for r in records if r is not None]
     manifest.wall_time = time.monotonic() - started
-    _MANIFESTS.append(manifest)
+    _record(manifest)
     return results  # type: ignore[return-value]
 
 
@@ -448,10 +495,10 @@ def _run_pool(requests, ids, results, records, jobs) -> None:
     for i in ids:
         (remote if _is_picklable(requests[i]) else local).append(i)
     outcomes = run_tasks(_pool_cell, [requests[i] for i in remote], jobs)
-    for i, (result, elapsed) in zip(remote, outcomes):
+    for i, (result, elapsed, source) in zip(remote, outcomes):
         results[i] = result
         records[i] = CellRecord(
-            requests[i].workload_name, requests[i].config, "run", elapsed
+            requests[i].workload_name, requests[i].config, source, elapsed
         )
         key = requests[i].memo_key()
         if key is not None:

@@ -59,21 +59,20 @@ def format_manifest(manifest, top: int = 5) -> str:
     return "\n".join(lines)
 
 
-def summarize_manifests(manifests: Sequence) -> str:
-    """One-line aggregate over every matrix submitted this session."""
-    total = sum(m.total for m in manifests)
+def summarize_session(summary) -> str:
+    """One-line aggregate over every matrix submitted this session
+    (a :class:`~repro.harness.parallel.SessionSummary`)."""
+    total = summary.total
     if not total:
         return "matrix summary: no cells submitted"
-    simulated = sum(m.simulated for m in manifests)
-    hits = sum(m.cache_hits for m in manifests)
-    wall = sum(m.wall_time for m in manifests)
+    hits = summary.cache_hits
     line = (
-        f"matrix summary: {total} cells — {simulated} simulated, "
-        f"{hits} cache hits ({hits / total:.0%}), wall {wall:.2f}s"
+        f"matrix summary: {total} cells — {summary.simulated} simulated, "
+        f"{hits} cache hits ({hits / total:.0%}), "
+        f"wall {summary.wall_time:.2f}s"
     )
-    artifacts = [p for m in manifests for p in getattr(m, "artifacts", ())]
-    if artifacts:
-        line += "\nartifacts: " + ", ".join(artifacts)
+    if summary.artifacts:
+        line += "\nartifacts: " + ", ".join(summary.artifacts)
     return line
 
 

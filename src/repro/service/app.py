@@ -7,9 +7,11 @@ service surface: ``tools/check_docs.py`` validates every HTTP snippet in
 there — the docs and the server cannot drift apart.
 
 Threading model: ``ThreadingHTTPServer`` handles each connection on its
-own thread; handlers only read job state, query SQLite (per-call
-connections), or enqueue work — the simulation itself happens on the job
-queue's worker thread, which fans out over the harness process pool.
+own thread; handlers only read job state, query SQLite (one connection
+per thread), enqueue work, or wait on a condition — an event stream on
+its job's, an empty lease on the queue's — the simulation itself happens
+on the job queue's worker thread, which fans out over the harness
+process pool.
 """
 
 from __future__ import annotations
@@ -164,14 +166,15 @@ def parse_backend(payload: Any) -> Optional[str]:
 
 
 def _float_field(
-    payload: Dict, field: str, problems: List[str]
+    payload: Dict, field: str, problems: List[str], minimum: str = "positive",
 ) -> Optional[float]:
+    """A number field: ``positive`` (> 0) or ``non-negative`` (>= 0)."""
     value = payload.get(field)
     if value is None:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or value <= 0:
-        problems.append(f"{field} must be a positive number, got {value!r}")
+            or value < 0 or (value == 0 and minimum == "positive"):
+        problems.append(f"{field} must be a {minimum} number, got {value!r}")
         return None
     return float(value)
 
@@ -451,13 +454,17 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.end_headers()
         cursor = since
         while True:
+            # read terminal *before* the events: the terminal event is in
+            # the feed by the time the status flips (JobQueue._finish)
+            terminal = job.terminal
             for event in job.events_since(cursor):
                 cursor = event["seq"]
                 self.wfile.write((json.dumps(event) + "\n").encode())
             self.wfile.flush()
-            if job.terminal or time.monotonic() > deadline:
+            remaining = deadline - time.monotonic()
+            if terminal or remaining <= 0:
                 return
-            time.sleep(0.05)
+            job.wait_events(cursor, remaining)
 
     def job_results(self, job_id: str) -> None:
         job, stored = self._job_or_404(job_id)
@@ -637,7 +644,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
         })
 
     def worker_lease(self) -> None:
-        """Claim the oldest pending cell; expired leases requeue first."""
+        """Claim the oldest pending cell; expired leases requeue first.
+
+        On an empty queue the reply is held up to ``wait`` seconds (capped
+        at ``LEASE_WAIT_CAP``) until a submit enqueues cells.
+        """
         payload = self._read_json()
         if not isinstance(payload, dict):
             raise BadRequest(["request body must be a JSON object"])
@@ -648,14 +659,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 f"worker must be a non-empty string, got {worker!r}"
             )
         ttl = _float_field(payload, "ttl", problems) or DEFAULT_LEASE_TTL
+        wait = _float_field(payload, "wait", problems, "non-negative") or 0.0
         if problems:
             raise BadRequest(problems)
-        service = self.server.service
-        for row in service.store.requeue_expired():
-            service.queue.note_requeue(
-                row["job_id"], row["cell_index"], row["worker"]
-            )
-        lease = service.store.lease_next(worker, ttl=ttl)
+        lease = self.server.service.queue.lease(worker, ttl=ttl, wait=wait)
         if lease is None:
             self._send_json(200, {"cell": None})
             return

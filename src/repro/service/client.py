@@ -28,6 +28,14 @@ def service_url(url: Optional[str] = None) -> str:
             or DEFAULT_URL).rstrip("/")
 
 
+def _decode(raw: bytes) -> Any:
+    """An error body: JSON when it parses, else text."""
+    try:
+        return json.loads(raw)
+    except ValueError:
+        return raw.decode(errors="replace")
+
+
 class ServiceError(RuntimeError):
     """Non-2xx response; carries the HTTP status and decoded error body."""
 
@@ -71,12 +79,7 @@ class ServiceClient:
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                 raw = resp.read()
         except urllib.error.HTTPError as exc:
-            raw = exc.read()
-            try:
-                payload = json.loads(raw)
-            except ValueError:
-                payload = raw.decode(errors="replace")
-            raise ServiceError(exc.code, payload) from None
+            raise ServiceError(exc.code, _decode(exc.read())) from None
         except urllib.error.URLError as exc:
             raise ServiceError(
                 0, f"cannot reach {self.url}: {exc.reason}"
@@ -134,34 +137,69 @@ class ServiceClient:
         self,
         job_id: str,
         timeout: float = 600.0,
-        poll: float = 0.2,
         on_event: Optional[Callable[[Dict], None]] = None,
     ) -> Dict:
-        """Poll until the job is terminal; returns its final status dict.
+        """Follow the job's event stream until it is terminal; returns its
+        final status dict.
 
-        *on_event* receives each new progress event as it is observed.
-        Raises :class:`ServiceError` on job failure or timeout.
+        *on_event* receives each progress event as the server sends it.
+        Each stream is held at most half the HTTP timeout, then resumed
+        from the last event seen.  Raises :class:`ServiceError` on job
+        failure or timeout.
         """
         deadline = time.monotonic() + timeout
         cursor = 0
         while True:
-            if on_event is not None:
-                feed = self.events(job_id, since=cursor)
-                for event in feed["events"]:
-                    cursor = event["seq"]
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                status = self.job(job_id)["status"]
+                raise ServiceError(
+                    0, f"job {job_id} still {status} after {timeout:.0f}s"
+                )
+            for event in self._follow(job_id, cursor,
+                                      min(remaining, self.timeout / 2)):
+                cursor = event["seq"]
+                if on_event is not None:
                     on_event(event)
+            # the stream ended: at the terminal event, or at its hold
             status = self.job(job_id)
             if status["status"] == "failed":
                 raise ServiceError(500, {"error": status.get("error")
                                          or "job failed"})
             if status["status"] == "done":
                 return status
-            if time.monotonic() > deadline:
-                raise ServiceError(
-                    0, f"job {job_id} still {status['status']} "
-                    f"after {timeout:.0f}s"
-                )
-            time.sleep(poll)
+
+    def _follow(self, job_id: str, since: int, hold: float):
+        """Events after *since* from one ``?follow=1`` stream, held open
+        at most *hold* seconds.
+
+        A job from before a server restart has no stream: it yields no
+        events, and raises when its stored status is not terminal, since
+        nothing on this server will move it.
+        """
+        query = urllib.parse.urlencode(
+            {"follow": 1, "since": since, "timeout": round(hold, 3)}
+        )
+        url = f"{self.url}/api/v1/jobs/{job_id}/events?{query}"
+        try:
+            with urllib.request.urlopen(url, timeout=self.timeout) as resp:
+                if resp.headers.get_content_type() == "application/x-ndjson":
+                    for line in resp:
+                        yield json.loads(line)
+                    return
+                status = json.loads(resp.read())["status"]
+        except urllib.error.HTTPError as exc:
+            raise ServiceError(exc.code, _decode(exc.read())) from None
+        except OSError as exc:
+            raise ServiceError(
+                0, f"cannot reach {self.url}: "
+                f"{getattr(exc, 'reason', None) or exc}"
+            ) from None
+        if status not in ("done", "failed"):
+            raise ServiceError(0, (
+                f"job {job_id} is {status} in the store but not live on "
+                f"this server, so nothing will finish it"
+            ))
 
     def runs(
         self,
@@ -186,11 +224,18 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # distributed-worker surface (docs/distributed.md)
     # ------------------------------------------------------------------
-    def lease(self, worker: str, ttl: Optional[float] = None) -> Dict:
-        """Claim the oldest pending distributed cell, or ``cell: None``."""
+    def lease(self, worker: str, ttl: Optional[float] = None,
+              wait: Optional[float] = None) -> Dict:
+        """Claim the oldest pending distributed cell, or ``cell: None``.
+
+        *wait* lets the server hold an empty reply that many seconds
+        (capped server-side) until cells are enqueued.
+        """
         body: Dict[str, Any] = {"worker": worker}
         if ttl is not None:
             body["ttl"] = ttl
+        if wait is not None:
+            body["wait"] = wait
         return self.request("POST", "/api/v1/workers/lease", body=body)
 
     def heartbeat(self, lease_id: str, ttl: Optional[float] = None) -> Dict:

@@ -26,7 +26,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.harness.cache import get_active_store
 from repro.harness.parallel import (
-    CellRecord,
     RunRequest,
     last_manifest,
     resolve_backend,
@@ -37,6 +36,16 @@ from repro.service.store import ExperimentStore, run_id_for, utcnow
 
 #: Job lifecycle.  queued → running → done | failed.
 JOB_STATES = ("queued", "running", "done", "failed")
+
+#: Longest a lease request waits on an empty queue (seconds).  Kept well
+#: below the 30 s default HTTP timeout of
+#: :class:`~repro.service.client.ServiceClient`, so an idle worker's
+#: request always returns before its client gives up on it.
+LEASE_WAIT_CAP = 20.0
+
+#: Extra time a waiting lease request allows past a lease deadline before
+#: it requeues: ``requeue_expired`` frees only leases strictly past due.
+_REQUEUE_SLACK = 0.01
 
 
 @dataclass
@@ -86,6 +95,10 @@ class Job:
     events: List[Dict[str, Any]] = field(default_factory=list)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
+    def __post_init__(self) -> None:
+        #: notified on every appended event, the terminal one included
+        self._changed = threading.Condition(self._lock)
+
     @property
     def total(self) -> int:
         return len(self.cells)
@@ -111,13 +124,31 @@ class Job:
 
     def add_event(self, event: str, **payload: Any) -> None:
         with self._lock:
-            self.events.append(
-                {"seq": len(self.events) + 1, "event": event, **payload}
-            )
+            self._append(event, payload)
+
+    def _append(self, event: str, payload: Dict[str, Any]) -> None:
+        """Append one event and wake its waiters; the caller holds the lock."""
+        self.events.append(
+            {"seq": len(self.events) + 1, "event": event, **payload}
+        )
+        self._changed.notify_all()
 
     def events_since(self, since: int = 0) -> List[Dict[str, Any]]:
         with self._lock:
             return [e for e in self.events if e["seq"] > since]
+
+    def wait_events(self, since: int, timeout: float) -> None:
+        """Block until an event after *since* exists or the job is
+        terminal, for at most *timeout* seconds."""
+        with self._changed:
+            self._changed.wait_for(
+                lambda: len(self.events) > since or self.terminal, timeout
+            )
+
+    def wait_terminal(self, timeout: float) -> bool:
+        """Block until the job is done or failed; False on timeout."""
+        with self._changed:
+            return self._changed.wait_for(lambda: self.terminal, timeout)
 
     def status_dict(self) -> Dict[str, Any]:
         return {
@@ -190,6 +221,12 @@ class JobQueue:
         self._lock = threading.Lock()
         #: distributed jobs: job_id -> monotonic submit time (wall clock)
         self._started_at: Dict[str, float] = {}
+        #: wakes lease requests waiting on an empty queue; the generation
+        #: counts enqueues, so a wake-up between a lease's empty claim and
+        #: its wait is not lost
+        self._leasable = threading.Condition()
+        self._enqueued = 0
+        self._closed = False
         self._worker = threading.Thread(
             target=self._work, name="repro-job-queue", daemon=True
         )
@@ -255,7 +292,41 @@ class JobQueue:
                 for cell in job.cells
             ],
         )
+        with self._leasable:
+            self._enqueued += 1
+            self._leasable.notify_all()
         return job
+
+    def lease(self, worker: str, ttl: float,
+              wait: float = 0.0) -> Optional[Dict[str, Any]]:
+        """Claim the oldest pending distributed cell for *worker*.
+
+        Expired leases are requeued first.  On an empty queue the request
+        waits up to *wait* seconds (capped at :data:`LEASE_WAIT_CAP`) for
+        a submit to enqueue cells, waking at the earliest live lease
+        deadline to requeue a dead worker's cell.  Returns ``None`` when
+        nothing turned up, or at once when the queue is closed.
+        """
+        end = time.monotonic() + min(max(wait, 0.0), LEASE_WAIT_CAP)
+        while True:
+            with self._leasable:
+                seen = self._enqueued
+            for row in self.store.requeue_expired():
+                self.note_requeue(
+                    row["job_id"], row["cell_index"], row["worker"]
+                )
+            lease = self.store.lease_next(worker, ttl=ttl)
+            remaining = end - time.monotonic()
+            if lease is not None or remaining <= 0 or self._closed:
+                return lease
+            deadline = self.store.next_deadline()
+            if deadline is not None:
+                remaining = min(
+                    remaining, deadline - time.time() + _REQUEUE_SLACK
+                )
+            with self._leasable:
+                if self._enqueued == seen and not self._closed:
+                    self._leasable.wait(max(remaining, 0.0))
 
     # ------------------------------------------------------------------
     # distributed-cell completion (called by the worker ack route)
@@ -304,26 +375,12 @@ class JobQueue:
 
     def _finalize_distributed(self, job_id: str, job: Optional[Job]) -> None:
         if job is not None:
-            with self._lock:
-                if job.terminal:
-                    return  # two acks raced on the last cell; idempotent
-                job.status = "done"
-            started = self._started_at.pop(job_id, None)
-            job.wall_time = (
+            started = self._started_at.get(job_id)
+            # two acks can race on the last cell: _finish lets one win
+            if self._finish(job, "done", wall_time=(
                 time.monotonic() - started if started is not None else 0.0
-            )
-            job.finished = utcnow()
-            job.add_event(
-                "done",
-                total=job.total,
-                simulated=job.simulated,
-                cache_hits=job.cache_hits,
-                wall_time=round(job.wall_time, 4),
-            )
-            self.store.update_job(
-                job.job_id, status="done", finished=job.finished,
-                manifest=job.manifest_dict(),
-            )
+            )):
+                self._started_at.pop(job_id, None)
             return
         # post-restart: the in-memory job is gone, finish from store rows
         stored = self.store.get_job(job_id)
@@ -357,18 +414,50 @@ class JobQueue:
 
     def wait(self, job_id: str, timeout: float = 300.0) -> Optional[Job]:
         """Block until *job_id* reaches a terminal state (tests, CLI)."""
-        deadline = time.monotonic() + timeout
         job = self.get(job_id)
-        while job is not None and not job.terminal:
-            if time.monotonic() > deadline:
-                return job
-            time.sleep(0.02)
+        if job is not None:
+            job.wait_terminal(timeout)
         return job
 
     def close(self) -> None:
-        """Finish the in-flight job, then stop the worker thread."""
+        """Release waiting lease requests, finish the in-flight job, then
+        stop the worker thread."""
+        with self._leasable:
+            self._closed = True
+            self._leasable.notify_all()
         self._queue.put(None)
         self._worker.join(timeout=60)
+
+    def _finish(self, job: Job, status: str, **fields: Any) -> bool:
+        """Make *job* terminal: set *fields*, append the terminal event and
+        flip the status in one critical section, so a reader that sees the
+        job terminal always finds the terminal event in its feed.
+
+        Returns False (and changes nothing) when the job already was
+        terminal.
+        """
+        with job._lock:
+            if job.terminal:
+                return False
+            for name, value in fields.items():
+                setattr(job, name, value)
+            job.finished = utcnow()
+            if status == "done":
+                job._append("done", {
+                    "total": job.total,
+                    "simulated": job.simulated,
+                    "cache_hits": job.cache_hits,
+                    "wall_time": round(job.wall_time, 4),
+                })
+                record = {"manifest": job.manifest_dict()}
+            else:
+                job._append(status, {"error": job.error})
+                record = {"error": job.error}
+            job.status = status
+        self.store.update_job(
+            job.job_id, status=status, finished=job.finished, **record
+        )
+        return True
 
     # ------------------------------------------------------------------
     def _work(self) -> None:
@@ -379,13 +468,8 @@ class JobQueue:
             try:
                 self._execute(job)
             except Exception as exc:  # a failed job must not kill the queue
-                job.status = "failed"
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.finished = utcnow()
-                job.add_event("failed", error=job.error)
-                self.store.update_job(
-                    job.job_id, status="failed", error=job.error,
-                    finished=job.finished,
+                self._finish(
+                    job, "failed", error=f"{type(exc).__name__}: {exc}"
                 )
 
     def _execute(self, job: Job) -> None:
@@ -409,19 +493,13 @@ class JobQueue:
                 results = run_matrix(
                     [c.request for c in cells], jobs=self.jobs, backend=backend,
                 )
-            manifest = last_manifest()
-            records = manifest.cells if manifest is not None else []
-            raced = len(records) != len(cells)
-            if raced:  # another thread's manifest raced in
-                records = [
-                    CellRecord(c.request.workload_name, c.request.config, "run")
-                    for c in cells
-                ]
+            # this thread's own manifest: run_matrix records it per thread
+            records = last_manifest().cells
             for cell, result, record in zip(cells, results, records):
                 cell.result = result
                 cell.source = record.source
                 cell.wall_time = record.wall_time
-                if raced or not writes_through or record.source != "run":
+                if not writes_through or record.source != "run":
                     self.store.put(
                         cell.request.memo_key(), result, job_id=job.job_id
                     )
@@ -431,17 +509,4 @@ class JobQueue:
                     total=job.total,
                     **cell.summary(),
                 )
-        job.wall_time = time.monotonic() - started
-        job.status = "done"
-        job.finished = utcnow()
-        job.add_event(
-            "done",
-            total=job.total,
-            simulated=job.simulated,
-            cache_hits=job.cache_hits,
-            wall_time=round(job.wall_time, 4),
-        )
-        self.store.update_job(
-            job.job_id, status="done", finished=job.finished,
-            manifest=job.manifest_dict(),
-        )
+        self._finish(job, "done", wall_time=time.monotonic() - started)

@@ -167,8 +167,8 @@ class StoreCounters:
 class ExperimentStore:
     """SQLite experiment database rooted at *path*.
 
-    Every public method opens a short-lived connection, so one instance is
-    safe to share across threads, and concurrent writers from separate
+    Each thread keeps its own connection, so one instance is safe to
+    share across threads, and concurrent writers from separate
     processes serialize on SQLite's file lock (``timeout`` seconds before
     giving up).  Writes of the same ``run_id`` are idempotent
     (``INSERT OR IGNORE`` — identical keys serialize identical payloads),
@@ -194,6 +194,7 @@ class ExperimentStore:
         self._broken = False
         self._lock = threading.Lock()
         self._owner = threading.local()
+        self._local = threading.local()
 
     @classmethod
     def from_env(cls, path: Optional[str] = None) -> Optional["ExperimentStore"]:
@@ -225,10 +226,32 @@ class ExperimentStore:
     # ------------------------------------------------------------------
     # connection / schema lifecycle
     # ------------------------------------------------------------------
-    def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(str(self.path), timeout=self.timeout)
-        conn.row_factory = sqlite3.Row
-        return conn
+    @contextmanager
+    def _connect(self):
+        """This thread's connection, inside one transaction.
+
+        Each thread keeps one connection for the life of the thread (in a
+        ``threading.local``, so it goes when the thread does); a forked
+        process opens its own instead of sharing the parent's handle.
+        After any SQLite error the connection is dropped, and the next
+        call reconnects.
+        """
+        local = self._local
+        conn = getattr(local, "conn", None)
+        if conn is None or local.pid != os.getpid():
+            if conn is not None:
+                # inherited across fork: never close the parent's handle
+                local.inherited = conn
+            conn = sqlite3.connect(str(self.path), timeout=self.timeout)
+            conn.row_factory = sqlite3.Row
+            local.conn, local.pid = conn, os.getpid()
+        try:
+            with conn:
+                yield conn
+        except sqlite3.Error:
+            local.conn = None
+            conn.close()
+            raise
 
     def _ensure(self) -> bool:
         """Create or migrate the schema once; False when degraded."""
@@ -615,9 +638,10 @@ class ExperimentStore:
     def requeue_expired(self, now: Optional[float] = None) -> List[Dict[str, Any]]:
         """Return expired leases to the pending queue (dead workers).
 
-        Called lazily on every lease poll — there is no background reaper
-        thread, so an abandoned cell is recovered the moment any surviving
-        worker next asks for work.
+        Called by every lease request, and again at :meth:`next_deadline`
+        while a lease request waits on an empty queue — there is no
+        background reaper thread, so an abandoned cell is recovered as
+        soon as its lease expires, provided a live worker is asking.
         """
         if not self._ensure():
             return []
@@ -642,6 +666,21 @@ class ExperimentStore:
         except (sqlite3.Error, OSError) as exc:
             self._degrade("lease requeue", exc)
         return out
+
+    def next_deadline(self) -> Optional[float]:
+        """The earliest deadline of a live lease (``time.time()`` scale),
+        or ``None`` when no cell is leased."""
+        if not self._ensure():
+            return None
+        try:
+            with self._connect() as conn:
+                row = conn.execute(
+                    "SELECT MIN(deadline) FROM leases WHERE state = 'leased'"
+                ).fetchone()
+        except (sqlite3.Error, OSError) as exc:
+            self._degrade("lease deadline", exc)
+            return None
+        return row[0]
 
     def heartbeat_lease(
         self,

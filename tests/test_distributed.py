@@ -14,6 +14,8 @@ The load-bearing guarantees (docs/distributed.md):
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
 
 import pytest
@@ -239,6 +241,104 @@ def test_dead_worker_cell_is_requeued_and_stats_unchanged(service):
 
     over_wire = [r["stats"] for r in service.results(job["job_id"])]
     assert over_wire == expected
+
+
+# ----------------------------------------------------------------------
+# long-polled leases: an idle worker waits on the server, not in a sleep
+# ----------------------------------------------------------------------
+@pytest.fixture
+def empty_claims(monkeypatch):
+    """Set each time a lease claim finds the queue empty."""
+    empty = threading.Event()
+    original = ExperimentStore.lease_next
+
+    def lease_next(self, *args, **kwargs):
+        lease = original(self, *args, **kwargs)
+        if lease is None:
+            empty.set()
+        return lease
+
+    monkeypatch.setattr(ExperimentStore, "lease_next", lease_next)
+    return empty
+
+
+def _lease_in_thread(client, worker, wait):
+    reply = {}
+
+    def lease():
+        reply["lease"] = client.lease(worker, ttl=30.0, wait=wait)
+        reply["at"] = time.monotonic()
+
+    thread = threading.Thread(target=lease)
+    thread.start()
+    return thread, reply
+
+
+def test_waiting_lease_gets_a_cell_submitted_after_it_started(
+        service, empty_claims):
+    thread, reply = _lease_in_thread(service, "t-waiting", wait=10.0)
+    assert empty_claims.wait(10)  # the request found nothing and waits
+    submitted = time.monotonic()
+    job = service.submit(cells=_matrix_cells()[:1], backend="distributed")
+    thread.join(15)
+    assert reply["lease"]["cell"]["job_id"] == job["job_id"]
+    assert reply["at"] - submitted < 1.0
+
+    # drain-and-stop still returns at once on an (again) empty queue
+    started = time.monotonic()
+    assert run_worker(service.url, worker_id="t-drain", max_idle=0) == 0
+    assert time.monotonic() - started < 1.0
+
+
+def test_concurrent_waiting_leases_each_get_one_distinct_cell(service):
+    """More waiting workers than cores, with frequent thread switches: a
+    lost wake-up would leave one waiting out its whole ``wait``."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        waiters = [_lease_in_thread(service, f"t-w{i}", wait=10.0)
+                   for i in range(4)]
+        submitted = time.monotonic()
+        service.submit(cells=_matrix_cells(), backend="distributed")
+        for thread, _ in waiters:
+            thread.join(15)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    leases = [reply["lease"] for _, reply in waiters]
+    assert sorted(lease["cell"]["index"] for lease in leases) == [0, 1, 2, 3]
+    assert all(reply["at"] - submitted < 2.0 for _, reply in waiters)
+
+
+def test_waiting_lease_requeues_a_dead_workers_cell_at_its_deadline(service):
+    service.submit(cells=_matrix_cells()[:1], backend="distributed")
+    dying = service.lease("t-dying", ttl=0.3)
+    assert dying["cell"] is not None
+    started = time.monotonic()
+    # nothing is pending: the request waits, and wakes at the deadline
+    reply = service.lease("t-live", ttl=30.0, wait=10.0)
+    assert reply["cell"]["index"] == dying["cell"]["index"]
+    assert reply["attempts"] == 2
+    assert time.monotonic() - started < 2.0
+
+
+def test_closing_the_service_releases_a_waiting_lease(tmp_path, empty_claims):
+    with background_server(db_path=str(tmp_path / "exp.sqlite"),
+                           jobs=1) as url:
+        thread, reply = _lease_in_thread(ServiceClient(url), "t-idle", 15.0)
+        assert empty_claims.wait(10)
+        closing = time.monotonic()
+    thread.join(10)
+    assert reply["lease"] == {"cell": None}
+    assert reply["at"] - closing < 5.0
+
+
+def test_lease_wait_validation(service):
+    assert service.lease("t-zero", wait=0) == {"cell": None}
+    with pytest.raises(ServiceError) as exc:
+        service.lease("t-negative", wait=-1)
+    assert exc.value.status == 400
+    assert "wait must be a non-negative number" in str(exc.value)
 
 
 def test_lease_validation_errors(service):

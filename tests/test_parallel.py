@@ -6,9 +6,12 @@ from repro.harness.parallel import (
     RunRequest,
     default_jobs,
     last_manifest,
+    reset_manifests,
     run_matrix,
+    session_summary,
     shutdown_pool,
 )
+from repro.harness.reporting import summarize_session
 from repro.harness.runner import clear_memo, compare_configs
 from repro.workloads import Workload
 from tests.conftest import h2p_hammock_workload
@@ -115,6 +118,61 @@ class TestRunMatrix:
             jobs=1,
         )
         assert direct.stats == via_matrix.stats
+
+
+    def test_pool_worker_memo_hit_is_reported_as_memo(self, monkeypatch):
+        """A long-lived pool worker answers a cell it ran before from its
+        own memo; the manifest must say so instead of claiming a run.
+        One pool process, so the repeated cells land where they first ran."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        import repro.harness.parallel as parallel
+
+        shutdown_pool()
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor",
+                            lambda max_workers: ProcessPoolExecutor(1))
+        requests = _matrix_requests()[:2]
+        first = run_matrix(requests, jobs=2)
+        assert [c.source for c in last_manifest().cells] == ["run", "run"]
+
+        clear_memo()  # the parent forgets; its pool worker does not
+        again = run_matrix(requests, jobs=2)
+        manifest = last_manifest()
+        assert [c.source for c in manifest.cells] == ["memo", "memo"]
+        assert manifest.simulated == 0 and manifest.cache_hits == 2
+        assert [r.stats for r in again] == [r.stats for r in first]
+
+
+class TestManifests:
+    def test_last_manifest_is_per_thread(self):
+        import threading
+
+        run_matrix([RunRequest(workload="lammps", **FAST)], jobs=1)
+        mine = last_manifest()
+        other = []
+
+        def elsewhere():
+            other.append(last_manifest())
+            run_matrix([RunRequest(workload="gcc", **FAST)], jobs=1)
+            other.append(last_manifest())
+
+        thread = threading.Thread(target=elsewhere)
+        thread.start()
+        thread.join()
+        assert other[0] is None
+        assert other[1].cells[0].workload == "gcc"
+        assert last_manifest() is mine
+
+    def test_session_summary_keeps_totals_not_cells(self):
+        reset_manifests()
+        run_matrix(_matrix_requests(), jobs=1)
+        run_matrix(_matrix_requests(), jobs=1)
+        summary = session_summary()
+        assert summary.matrices == 2 and summary.total == 12
+        assert summary.simulated == 6 and summary.cache_hits == 6
+        assert "6 simulated, 6 cache hits" in summarize_session(summary)
+        reset_manifests()
+        assert session_summary().matrices == 0 and last_manifest() is None
 
 
 class TestPoolLifecycle:

@@ -20,6 +20,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import urllib.request
 
 import pytest
@@ -229,6 +230,71 @@ def test_follow_streams_ndjson(service):
         lines = [json.loads(line) for line in resp.read().splitlines()]
     assert lines[0]["event"] == "queued"
     assert lines[-1]["event"] in ("done", "failed")
+
+
+def test_follow_stream_never_closes_before_the_terminal_event(
+        service, monkeypatch):
+    """A deterministic interleaving: the stream snapshots the feed, then
+    the job finishes completely before the stream decides to close.  The
+    stream must still send the ``done`` event."""
+    from repro.harness.distributed import run_worker
+    from repro.service.jobs import Job
+
+    snapshot_taken, finished = threading.Event(), threading.Event()
+    original = Job.events_since
+    calls = []
+
+    def gated(self, since=0):
+        events = original(self, since)
+        calls.append(since)
+        if len(calls) == 1:  # the stream's first read of the feed
+            snapshot_taken.set()
+            assert finished.wait(30)
+        return events
+
+    monkeypatch.setattr(Job, "events_since", gated)
+    job = service.submit(cells=[{"workload": "lammps", "config": "baseline",
+                                 "warmup": WARMUP + 3, "measure": MEASURE}],
+                         backend="distributed")
+    lines = []
+
+    def follow():
+        url = (f"{service.url}/api/v1/jobs/{job['job_id']}/events"
+               f"?follow=1&timeout=60")
+        with urllib.request.urlopen(url, timeout=90) as resp:
+            lines.extend(json.loads(line) for line in resp.read().splitlines())
+
+    reader = threading.Thread(target=follow)
+    reader.start()
+    try:
+        assert snapshot_taken.wait(30)
+        assert run_worker(service.url, worker_id="t-race", max_idle=0) == 1
+    finally:
+        finished.set()
+        reader.join(60)
+    assert [e["event"] for e in lines] == ["queued", "running", "cell", "done"]
+
+
+def test_client_wait_follows_the_stream(service):
+    seen = []
+    job = service.submit(workloads=["lammps"], configs=["baseline", "acb"],
+                         warmup=WARMUP, measure=MEASURE)
+    status = service.wait(job["job_id"], timeout=300, on_event=seen.append)
+    assert status["status"] == "done"
+    assert [e["event"] for e in seen] == \
+        ["queued", "running", "cell", "cell", "done"]
+    with pytest.raises(ServiceError) as exc:
+        service.wait("feedfacecafe", timeout=5)
+    assert exc.value.status == 404
+
+
+def test_client_wait_times_out_on_a_job_nobody_runs(service):
+    job = service.submit(workloads=["lammps"], configs=["baseline"],
+                         warmup=WARMUP, measure=MEASURE,
+                         backend="distributed")  # no worker will lease it
+    with pytest.raises(ServiceError, match="still running after"):
+        ServiceClient(service.url, timeout=0.4).wait(job["job_id"],
+                                                     timeout=0.5)
 
 
 def test_route_table_is_complete():

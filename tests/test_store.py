@@ -207,6 +207,29 @@ def test_concurrent_writers(store):
         assert store.get(small_key(config)).stats == result.stats
 
 
+def test_one_connection_per_thread_dropped_after_an_error(store):
+    store.schema_info()
+
+    def connection():
+        with store._connect() as conn:
+            return conn
+
+    mine = connection()
+    assert connection() is mine  # reused, not reopened
+    theirs = []
+    thread = threading.Thread(target=lambda: theirs.append(connection()))
+    thread.start()
+    thread.join()
+    assert theirs[0] is not mine
+
+    with pytest.raises(sqlite3.OperationalError):
+        with store._connect() as conn:
+            conn.execute("SELECT * FROM no_such_table")
+    fresh = connection()
+    assert fresh is not mine
+    assert store.count_runs() == 0  # and the store works on
+
+
 # ----------------------------------------------------------------------
 # the lookup chain: memo → store
 # ----------------------------------------------------------------------
