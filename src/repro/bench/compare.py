@@ -8,12 +8,15 @@ The regression gate is deliberately generous: wall-clock numbers move with
 the host, so CI compares with a wide threshold (default 1.5×) and only
 fails on an overall slowdown *past* it — enough headroom for runner noise,
 tight enough to catch a real hot-loop regression.
+
+The table's ``gc`` column shows each new run's ``gc_collections`` (``-``
+for reports that predate the field).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bench.schema import runs_by_name
 
@@ -42,6 +45,8 @@ class CompareResult:
     only_in_new: List[str] = field(default_factory=list)
     #: matched names whose simulation windows differ (rates not comparable)
     window_mismatch: List[str] = field(default_factory=list)
+    #: name → the new run's cyclic-GC collections (None: not recorded)
+    gc_collections: Dict[str, Optional[int]] = field(default_factory=dict)
 
     def regressed(self, threshold: float) -> bool:
         """True when the new tree is more than *threshold*× slower overall."""
@@ -64,6 +69,7 @@ def compare_reports(baseline: Dict[str, Any], new: Dict[str, Any]) -> CompareRes
             continue
         ratio = cur["cycles_per_s"] / old["cycles_per_s"]
         result.rows.append((name, old["cycles_per_s"], cur["cycles_per_s"], ratio))
+        result.gc_collections[name] = cur.get("gc_collections")
         group_ratios.setdefault(cur["group"], []).append(ratio)
 
     result.per_group = {g: _geomean(rs) for g, rs in sorted(group_ratios.items())}
@@ -74,10 +80,15 @@ def compare_reports(baseline: Dict[str, Any], new: Dict[str, Any]) -> CompareRes
 def format_compare(result: CompareResult, baseline_tag: str = "baseline") -> str:
     """Human-readable comparison table."""
     lines = [
-        f"{'target':36s} {'base c/s':>12s} {'new c/s':>12s} {'speedup':>8s}"
+        f"{'target':36s} {'base c/s':>12s} {'new c/s':>12s} {'speedup':>8s} "
+        f"{'gc':>5s}"
     ]
     for name, old, new, ratio in result.rows:
-        lines.append(f"{name:36s} {old:12,.0f} {new:12,.0f} {ratio:7.2f}x")
+        collections = result.gc_collections.get(name)
+        gc_cell = "-" if collections is None else str(collections)
+        lines.append(
+            f"{name:36s} {old:12,.0f} {new:12,.0f} {ratio:7.2f}x {gc_cell:>5s}"
+        )
     lines.append("")
     for group, ratio in result.per_group.items():
         lines.append(f"geomean [{group}]: {ratio:.2f}x")

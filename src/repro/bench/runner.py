@@ -6,6 +6,10 @@ and the wall clock covers core construction plus the full warmup+measure
 window.  Throughput is reported as simulated cycles and fetched micro-ops
 per wall second; the simulation outputs themselves (cycles, instructions,
 IPC) ride along so a report doubles as a coarse cross-machine sanity check.
+Each record also counts the cyclic-GC collections inside the timed region.
+The engine's micro-ops die by reference count, so on a healthy tree only
+building the core's tables triggers collections; a count that climbs
+means some change re-formed reference cycles.
 
 ``profile=True`` wraps the whole matrix in :mod:`cProfile` and attaches a
 per-function breakdown (engine stages, predictor lookups, the memory
@@ -15,6 +19,7 @@ for when ``--compare`` shows a slowdown (see docs/performance.md).
 
 from __future__ import annotations
 
+import gc
 import platform
 import sys
 import time
@@ -34,6 +39,11 @@ _PROFILE_FILES = (
     "workloads/workload.py",
     "workloads/behaviors.py",
 )
+
+
+def _gc_collections() -> int:
+    """Cyclic-GC collections so far in this process, over all generations."""
+    return sum(generation["collections"] for generation in gc.get_stats())
 
 
 def _run_matrix_target(target: BenchTarget) -> Dict[str, Any]:
@@ -56,9 +66,11 @@ def _run_matrix_target(target: BenchTarget) -> Dict[str, Any]:
     saved_store = set_active_store(None)
     clear_memo()
     try:
+        collections = _gc_collections()
         started = time.perf_counter()
         results = run_matrix(requests, jobs=1)
         wall = time.perf_counter() - started
+        collections = _gc_collections() - collections
     finally:
         clear_memo()
         set_active_store(saved_store)
@@ -82,6 +94,7 @@ def _run_matrix_target(target: BenchTarget) -> Dict[str, Any]:
         "ipc": round(instructions / cycles if cycles else 0.0, 4),
         "cells": len(requests),
         "cells_per_s": round(len(requests) / wall, 3),
+        "gc_collections": collections,
     }
 
 
@@ -98,10 +111,12 @@ def _run_target(target: BenchTarget) -> Dict[str, Any]:
         (workload,) = load_suite([target.workload])
     cfg, scheme, predictor = prepare_run(workload, target.config)
 
+    collections = _gc_collections()
     started = time.perf_counter()
     core = Core(workload, cfg, scheme=scheme, predictor=predictor)
     stats = core.run_window(target.warmup, target.measure)
     wall = time.perf_counter() - started
+    collections = _gc_collections() - collections
 
     return {
         "name": target.name,
@@ -117,6 +132,7 @@ def _run_target(target: BenchTarget) -> Dict[str, Any]:
         "cycles_per_s": round(core.cycle / wall, 1),
         "uops_per_s": round(core._seq / wall, 1),
         "ipc": round(stats.ipc, 4),
+        "gc_collections": collections,
     }
 
 
@@ -183,7 +199,8 @@ def run_bench(
         if progress is not None:
             progress(
                 f"{record['name']}: {record['wall_s']:.2f}s  "
-                f"{record['cycles_per_s']:,.0f} cycles/s"
+                f"{record['cycles_per_s']:,.0f} cycles/s  "
+                f"gc {record['gc_collections']}"
             )
 
     breakdown = None

@@ -50,6 +50,10 @@ measurement windows.  The extra keys are optional per run record, so a v2
 tool accepts v1 reports unchanged (and v1 baselines simply have no matrix
 records to match).
 
+Any v2 run record may also carry ``"gc_collections": 0`` — the cyclic-GC
+collections during the timed region, summed over generations.  It is
+optional too: reports written before it existed stay valid.
+
 The ``cycles``/``uops``/``instructions``/``ipc`` fields are *simulation*
 results and must be machine-independent: two runs of the same tree on any
 host agree exactly (the bit-identical-stats invariant).  Only ``wall_s``
@@ -92,11 +96,12 @@ _RUN_REQUIRED = {
     "ipc": _NUMERIC,
 }
 
-#: schema-v2 matrix-record keys; validated when present (v1 reports omit
+#: schema-v2 optional keys; validated when present (older reports omit
 #: them, which stays valid).
 _RUN_OPTIONAL = {
     "cells": int,
     "cells_per_s": _NUMERIC,
+    "gc_collections": int,
 }
 
 

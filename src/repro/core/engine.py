@@ -368,6 +368,10 @@ class Core:
                 retire_log.append(dyn)
             if scheme is not None:
                 scheme.on_retire(dyn)
+            # cut the links that close cycles (isa.dyninst lifetime rule);
+            # ``consumers`` was already cut at completion.
+            dyn.rat_checkpoint = dyn.prev_writer = None
+            dyn.forced_producers = dyn.region = None
             budget -= 1
         if budget != width:
             self._last_retire_cycle = cycle
@@ -411,6 +415,9 @@ class Core:
             if instr.is_cond_branch and not dyn.wrong_path and dyn.taken is not None:
                 self._resolve_branch(dyn)
             self._wake_consumers(dyn)
+            # nothing appends to a done producer's consumers (_allocate and
+            # _resolve_region test ``state < ST_DONE``): the list is dead.
+            dyn.consumers = None
             if instr.is_store and self._blocked_loads:
                 self._release_blocked_loads()
 
@@ -523,9 +530,13 @@ class Core:
         """Squash everything younger than *branch* and redirect fetch."""
         seqb = branch.seq
 
+        # squashed micro-ops drop their cycle-forming links (see the
+        # lifetime rule in repro.isa.dyninst) so they die by refcount.
         for dyn in self.fetchq:
             dyn.state = ST_SQUASHED
             dyn.squash_cycle = self.cycle
+            dyn.consumers = dyn.rat_checkpoint = dyn.prev_writer = None
+            dyn.forced_producers = dyn.region = None
         self.fetchq.clear()
 
         rob = self.rob
@@ -537,6 +548,8 @@ class Core:
                 self.lq_count -= 1
             dyn.state = ST_SQUASHED
             dyn.squash_cycle = self.cycle
+            dyn.consumers = dyn.rat_checkpoint = dyn.prev_writer = None
+            dyn.forced_producers = dyn.region = None
         while self.sq and self.sq[-1].seq > seqb:
             self.sq.pop()
 
@@ -638,8 +651,8 @@ class Core:
                 continue
             ports[group] -= 1
             budget -= 1
-            # _dispatch, inlined for the hot path; non-memory ops take the
-            # precomputed class latency without the _latency_of call.
+            # dispatch: non-memory ops take the precomputed class latency
+            # without the _latency_of call.
             dyn.state = ST_ISSUED
             dyn.issue_cycle = cycle
             self.iq_count -= 1
@@ -662,14 +675,6 @@ class Core:
             if store.state < ST_DONE and not store.pred_false:
                 return True
         return False
-
-    def _dispatch(self, dyn: DynInst) -> None:
-        cycle = self.cycle
-        dyn.state = ST_ISSUED
-        dyn.issue_cycle = cycle
-        self.iq_count -= 1
-        latency = self._latency_of(dyn)
-        heapq.heappush(self._eventq, (cycle + latency, dyn.seq, dyn))
 
     def _latency_of(self, dyn: DynInst) -> int:
         if dyn.transparent or dyn.pred_false:
@@ -816,12 +821,6 @@ class Core:
     # ==================================================================
     # Fetch
     # ==================================================================
-    def _functional_now(self) -> bool:
-        if not self.on_correct_path:
-            return False
-        region = self.region
-        return region is None or region.seg_is_true
-
     def _new_dyn(self, instr: Instruction) -> DynInst:
         dyn = DynInst(self._seq, instr, wrong_path=not self.on_correct_path)
         self._seq += 1
@@ -960,8 +959,8 @@ class Core:
         """Fetch the instruction at ``self.fetch_pc``; returns True on a
         taken redirect (ends the fetch group).
 
-        ``_new_dyn`` and ``_functional_now`` are inlined here (they remain
-        as methods for the colder select-injection path).
+        ``_new_dyn`` is inlined here (it remains a method for the colder
+        select-injection path).
         """
         on_correct = self.on_correct_path
         dyn = DynInst(self._seq, instr, wrong_path=not on_correct)

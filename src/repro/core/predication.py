@@ -12,6 +12,7 @@ space.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -69,7 +70,13 @@ class PredicationPlan:
 
 @dataclass
 class RegionRecord:
-    """Run-time state of one in-flight predicated region."""
+    """Run-time state of one in-flight predicated region.
+
+    The branch holds its record through ``DynInst.region`` and the record
+    holds the branch back; the core cuts ``branch.region`` when the branch
+    retires or is squashed (the lifetime rule in :mod:`repro.isa.dyninst`),
+    so a record dies by reference count once the core drops it too.
+    """
 
     plan: PredicationPlan
     branch: DynInst
@@ -100,8 +107,13 @@ class PredicationScheme:
     updates_history_on_predication = False
 
     def attach(self, core: "Core") -> None:
-        """Called once by the core before simulation starts."""
-        self.core = core
+        """Called once by the core before simulation starts.
+
+        The core owns its scheme, so the scheme keeps only a weak proxy
+        back: a strong one would leave every finished core (its caches and
+        predictor tables included) for the cyclic collector to free.
+        """
+        self.core = weakref.proxy(core)
 
     def consider(self, dyn: DynInst, prediction: Prediction) -> Optional[PredicationPlan]:
         """Decide whether to predicate this dynamic instance.

@@ -7,6 +7,23 @@ does ("accurately models the wrong path", Section IV).
 
 The class uses ``__slots__`` because the core allocates one instance per
 fetched micro-op and simulations run for tens of thousands of instructions.
+
+Lifetime rule: a micro-op must die by reference count the moment it leaves
+the pipeline, never by the cyclic garbage collector.  Five links can close
+a reference cycle between micro-ops (and through a predicated branch's
+:class:`~repro.core.predication.RegionRecord`); the core cuts each one to
+``None`` at the point where it provably never reads it again:
+
+* ``consumers`` once completion has woken them (nothing appends to a
+  producer at or past ``ST_DONE``);
+* ``rat_checkpoint``, ``prev_writer``, ``forced_producers`` and ``region``
+  at retirement (``consumers`` is already gone by then);
+* all five at squash, for micro-ops flushed from the fetch queue or ROB.
+
+The remaining references between micro-ops then only point from live to
+dead, so the trace ring, the retire log and the RAT may keep retired
+micro-ops without forming cycles.  ``CoreConfig(debug_checks=True)``
+enforces the rule (:class:`~repro.validate.checker.InvariantChecker`).
 """
 
 from __future__ import annotations
@@ -32,6 +49,9 @@ ST_DONE = 3
 ST_RETIRED = 4
 ST_SQUASHED = 5
 
+#: The links the core cuts under the lifetime rule above.
+CYCLE_LINKS = ("consumers", "rat_checkpoint", "prev_writer", "forced_producers", "region")
+
 
 class DynInst:
     """One in-flight dynamic micro-op."""
@@ -55,7 +75,6 @@ class DynInst:
         "body_dir",      # True if on the taken-path side of the region
         "pred_false",    # resolved: instruction sits on the predicated-false path
         "diverged",      # context failed to reconverge; forces a flush
-        "eager",         # DMP-style: body may execute before branch resolves
         # --- renaming / scheduling -------------------------------------------
         "deps",          # number of outstanding producers
         "consumers",     # DynInsts waiting on this one
@@ -91,8 +110,7 @@ class DynInst:
         self.forced_producers = self.resume_pc = self.prev_writer = None
         self.bp_meta = self.region = None
         self.predicted = self.body_dir = self.pred_false = False
-        self.diverged = self.eager = self.hold = False
-        self.rewired = self.transparent = False
+        self.diverged = self.hold = self.rewired = self.transparent = False
 
         self.acb_id = -1
         self.acb_role = ROLE_NONE

@@ -16,7 +16,10 @@ the rest of the repository's results silently depend on:
   the store queue stays a program-ordered subsequence of the ROB that drains
   strictly in order;
 * every opened predicated region is eventually closed (reconverged or
-  diverged) or cancelled by an older flush — none leak.
+  diverged) or cancelled by an older flush — none leak;
+* micro-ops obey the lifetime rule of :mod:`repro.isa.dyninst`: a
+  completed micro-op no longer holds its ``consumers`` list, and one that
+  retired or was squashed holds none of the ``CYCLE_LINKS``.
 
 A violated invariant raises :class:`InvariantViolation` immediately with a
 cycle-stamped description; the differential fuzz driver treats it exactly
@@ -29,9 +32,10 @@ slower — see docs/validation.md for the overhead note).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.isa.dyninst import (
+    CYCLE_LINKS,
     ROLE_BODY,
     ROLE_JUMPER,
     ST_ALLOCATED,
@@ -68,6 +72,7 @@ class InvariantChecker:
         self.regions_opened = 0
         self._region_state: Dict[int, str] = {}   # branch seq -> lifecycle
         self._open_seq = None                     # seq of the open region
+        self._in_flight: List[DynInst] = []       # fetchq + ROB at last scan
 
     # ------------------------------------------------------------------
     def _fail(self, message: str, dyn: DynInst = None) -> None:
@@ -128,6 +133,8 @@ class InvariantChecker:
                 self._fail(f"ROB holds a state-{dyn.state} micro-op", dyn)
             if dyn.state == ST_ALLOCATED:
                 allocated += 1
+            elif dyn.state == ST_DONE and dyn.consumers is not None:
+                self._fail("completed micro-op still holds its consumers", dyn)
             if dyn.instr.is_load:
                 loads += 1
             elif dyn.instr.is_store:
@@ -155,6 +162,20 @@ class InvariantChecker:
                     f"store queue holds a state-{store.state} micro-op", store
                 )
         self._check_rat()
+        self._check_departed()
+
+    def _check_departed(self) -> None:
+        """Micro-ops that left the pipeline since the last scan (every one
+        was in the fetch queue or the ROB then) must have cut their links."""
+        for dyn in self._in_flight:
+            if dyn.state >= ST_RETIRED:
+                for link in CYCLE_LINKS:
+                    if getattr(dyn, link) is not None:
+                        self._fail(
+                            f"state-{dyn.state} micro-op still holds {link}", dyn
+                        )
+        core = self.core
+        self._in_flight = [*core.fetchq, *core.rob]
 
     def _check_rat(self) -> None:
         for reg, entry in enumerate(self.core.rat):

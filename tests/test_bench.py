@@ -6,6 +6,7 @@ target matrix → timed runs → schema-valid report → baseline comparison
 with threshold exit codes.
 """
 
+import gc
 import json
 
 import pytest
@@ -19,12 +20,21 @@ from repro.bench import (
 )
 from repro.bench.compare import format_compare
 from repro.bench.schema import SCHEMA_NAME, SCHEMA_VERSION
+from repro.core import Core
 
 
 @pytest.fixture(scope="module")
 def micro_report():
     """One real quick-mode bench run over the micro kernels."""
     return run_bench(quick=True, tag="test", groups=["micro"])
+
+
+def without_gc_collections(report):
+    """A copy of *report* as written before ``gc_collections`` existed."""
+    older = json.loads(json.dumps(report))
+    for run in older["runs"]:
+        del run["gc_collections"]
+    return older
 
 
 class TestTargets:
@@ -65,6 +75,34 @@ class TestSchema:
         future = json.loads(json.dumps(micro_report))
         future["schema_version"] = SCHEMA_VERSION + 1
         assert any("newer" in p for p in validate_report(future))
+
+    def test_runs_count_gc_collections(self, micro_report):
+        for run in micro_report["runs"]:
+            assert isinstance(run["gc_collections"], int)
+            assert run["gc_collections"] >= 0
+
+    def test_gc_collections_is_optional_and_type_checked(self, micro_report):
+        """Reports written before the field existed stay valid (the
+        committed baseline among them); a wrong type is flagged."""
+        assert validate_report(without_gc_collections(micro_report)) == []
+        broken = json.loads(json.dumps(micro_report))
+        broken["runs"][0]["gc_collections"] = 1.5
+        broken["runs"][1]["gc_collections"] = True
+        problems = validate_report(broken)
+        assert sum("'gc_collections'" in p for p in problems) == 2
+
+    def test_gc_collections_counts_collections_inside_the_target(
+        self, monkeypatch
+    ):
+        run_window = Core.run_window
+
+        def collecting_run_window(self, warmup, measure):
+            gc.collect()
+            return run_window(self, warmup, measure)
+
+        monkeypatch.setattr(Core, "run_window", collecting_run_window)
+        report = run_bench(quick=True, tag="gc", groups=["micro"])
+        assert all(run["gc_collections"] >= 1 for run in report["runs"])
 
     def test_simulation_outputs_are_deterministic(self, micro_report):
         """cycles/uops/instructions/ipc must be machine-independent: a
@@ -153,6 +191,22 @@ class TestCompare:
         text = format_compare(result)
         assert "windows differ" in text
         assert "micro:retired-kernel" in text
+
+    def test_table_prints_gc_collections(self, micro_report):
+        older = without_gc_collections(micro_report)
+        first = micro_report["runs"][0]
+        row = next(
+            line for line in format_compare(
+                compare_reports(older, micro_report)).splitlines()
+            if line.startswith(first["name"])
+        )
+        assert row.split()[-1] == str(first["gc_collections"])
+        row = next(
+            line for line in format_compare(
+                compare_reports(micro_report, older)).splitlines()
+            if line.startswith(first["name"])
+        )
+        assert row.split()[-1] == "-"
 
 
 class TestCli:
