@@ -29,7 +29,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.harness.cache import set_active_store
 from repro.harness.parallel import RunRequest
-from repro.harness.runner import SCHEME_FACTORIES, RunResult, split_config
+from repro.harness.runner import SCHEME_FACTORIES, split_config
 from repro.service.jobs import JobQueue, new_job_id
 from repro.service.store import (
     DEFAULT_LEASE_TTL,
@@ -385,12 +385,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def health(self) -> None:
         service = self.server.service
         jobs = service.queue.snapshot()
+        info = service.store.schema_info()
         self._send_json(200, {
             "status": "ok",
             "schema": "repro-store",
             "schema_version": STORE_SCHEMA_VERSION,
             "started": service.started,
             "db": str(service.store.path),
+            "journal_mode": info["journal_mode"],
+            "synchronous": info["synchronous"],
             "runs": service.store.count_runs(),
             "jobs": {
                 state: sum(1 for j in jobs if j.status == state)
@@ -564,26 +567,27 @@ class ServiceHandler(BaseHTTPRequestHandler):
             warmup=warmup, measure=measure, scale=scale,
             pc=payload.get("pc"),
         )
-        service.store.record_job(
-            job_id, "done",
-            {"workload": traced.workload, "config": config,
-             "warmup": warmup, "measure": measure, "scale": scale},
-            kind="trace",
-        )
-        service.store.update_job(job_id, finished=utcnow())
         artifacts = []
-        for artifact in traced.artifacts:
-            artifact_id = service.store.add_artifact(
-                job_id, os.path.basename(artifact.path),
-                artifact.format, artifact.path,
+        with service.store.transaction():
+            service.store.record_job(
+                job_id, "done",
+                {"workload": traced.workload, "config": config,
+                 "warmup": warmup, "measure": measure, "scale": scale},
+                kind="trace",
             )
-            artifacts.append({
-                "artifact_id": artifact_id,
-                "name": os.path.basename(artifact.path),
-                "format": artifact.format,
-                "detail": artifact.detail,
-                "bytes": os.path.getsize(artifact.path),
-            })
+            service.store.update_job(job_id, finished=utcnow())
+            for artifact in traced.artifacts:
+                artifact_id = service.store.add_artifact(
+                    job_id, os.path.basename(artifact.path),
+                    artifact.format, artifact.path,
+                )
+                artifacts.append({
+                    "artifact_id": artifact_id,
+                    "name": os.path.basename(artifact.path),
+                    "format": artifact.format,
+                    "detail": artifact.detail,
+                    "bytes": os.path.getsize(artifact.path),
+                })
         self._send_json(200, {
             "job_id": job_id,
             "workload": traced.workload,
@@ -734,25 +738,19 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if problems:
             raise BadRequest(problems)
 
-        service = self.server.service
-        row = service.store.ack_lease(lease_id, wall_time=float(wall_time))
-        if row is None:
+        acked = self.server.service.queue.complete_cell(
+            lease_id, stats, float(wall_time),
+            worker=payload.get("worker"),
+            category=str(payload.get("category", "")),
+            paper_tag=str(payload.get("paper_tag", "")),
+        )
+        if acked is None:
             self._send_json(410, {
                 "error": f"lease {lease_id!r} is not live "
                 f"(already acked, or expired and reassigned)",
             })
             return
-        result = RunResult(
-            workload=row["request"]["workload"],
-            category=str(payload.get("category", "")),
-            paper_tag=str(payload.get("paper_tag", "")),
-            config=row["request"]["config"],
-            stats=stats,
-        )
-        counts = service.queue.complete_cell(
-            row, result, float(wall_time),
-            worker=payload.get("worker") or row["worker"],
-        )
+        row, counts = acked
         self._send_json(200, {
             "job_id": row["job_id"],
             "index": row["cell_index"],

@@ -21,9 +21,11 @@ import queue
 import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from repro.core.stats import SimStats
 from repro.harness.cache import get_active_store
 from repro.harness.parallel import (
     RunRequest,
@@ -46,6 +48,10 @@ LEASE_WAIT_CAP = 20.0
 #: Extra time a waiting lease request allows past a lease deadline before
 #: it requeues: ``requeue_expired`` frees only leases strictly past due.
 _REQUEUE_SLACK = 0.01
+
+#: How many terminal jobs the queue keeps in memory (the newest); older
+#: ones are answered from the store (``GET /jobs/<id>`` and its sub-routes).
+FINISHED_JOBS_KEPT = 100
 
 
 @dataclass
@@ -217,6 +223,8 @@ class JobQueue:
         self.store = store
         self.jobs = jobs
         self._jobs: Dict[str, Job] = {}
+        #: ids of terminal jobs still in ``_jobs``, oldest first
+        self._finished: Deque[str] = deque()
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
         self._lock = threading.Lock()
         #: distributed jobs: job_id -> monotonic submit time (wall clock)
@@ -261,37 +269,51 @@ class JobQueue:
             backend=backend,
         )
         job.add_event("queued", total=job.total)
-        with self._lock:
-            self._jobs[job.job_id] = job
         if backend == "distributed":
             return self._submit_distributed(job)
         self.store.record_job(
             job.job_id, "queued", job.request, submitted=job.submitted
         )
+        with self._lock:
+            self._jobs[job.job_id] = job
         self._queue.put(job)
         return job
 
     def _submit_distributed(self, job: Job) -> Job:
-        """Distributed path: cells become leasable rows, job runs at once."""
+        """Distributed path: cells become leasable rows, job runs at once.
+
+        The job row, its start and its lease rows commit in one
+        transaction, so the store never holds a running job without cells.
+        """
         job.status = "running"
         job.started = utcnow()
         self._started_at[job.job_id] = time.monotonic()
         job.add_event("running", total=job.total, backend="distributed")
-        self.store.record_job(
-            job.job_id, "running", job.request, submitted=job.submitted
-        )
-        self.store.update_job(job.job_id, started=job.started)
-        self.store.enqueue_cells(
-            job.job_id,
-            [
-                {
-                    "index": cell.index,
-                    "run_id": cell.run_id,
-                    "request": request_fields(cell.request),
-                }
-                for cell in job.cells
-            ],
-        )
+        # registered before its cells commit: a worker may ack one at once
+        with self._lock:
+            self._jobs[job.job_id] = job
+        try:
+            with self.store.transaction():
+                self.store.record_job(
+                    job.job_id, "running", job.request, submitted=job.submitted
+                )
+                self.store.update_job(job.job_id, started=job.started)
+                self.store.enqueue_cells(
+                    job.job_id,
+                    [
+                        {
+                            "index": cell.index,
+                            "run_id": cell.run_id,
+                            "request": request_fields(cell.request),
+                        }
+                        for cell in job.cells
+                    ],
+                )
+        except BaseException:
+            with self._lock:
+                del self._jobs[job.job_id]
+            self._started_at.pop(job.job_id, None)
+            raise
         with self._leasable:
             self._enqueued += 1
             self._leasable.notify_all()
@@ -311,11 +333,13 @@ class JobQueue:
         while True:
             with self._leasable:
                 seen = self._enqueued
-            for row in self.store.requeue_expired():
+            with self.store.transaction():
+                requeued = self.store.requeue_expired()
+                lease = self.store.lease_next(worker, ttl=ttl)
+            for row in requeued:
                 self.note_requeue(
                     row["job_id"], row["cell_index"], row["worker"]
                 )
-            lease = self.store.lease_next(worker, ttl=ttl)
             remaining = end - time.monotonic()
             if lease is not None or remaining <= 0 or self._closed:
                 return lease
@@ -340,24 +364,37 @@ class JobQueue:
 
     def complete_cell(
         self,
-        lease: Dict[str, Any],
-        result: RunResult,
+        lease_id: str,
+        stats: SimStats,
         wall_time: float,
-        worker: Optional[str],
-    ) -> Dict[str, int]:
-        """Record one acked distributed cell; finalize the job when drained.
+        worker: Optional[str] = None,
+        category: str = "",
+        paper_tag: str = "",
+    ) -> Optional[Tuple[Dict[str, Any], Dict[str, int]]]:
+        """Ack one distributed cell; finalize the job when drained.
 
-        *lease* is the acked row from
-        :meth:`~repro.service.store.ExperimentStore.ack_lease` — it carries
-        the request fields, so the run key is recomputed *server-side*
-        (workers never get to choose where a result lands).  Returns the
-        job's remaining lease counts.
+        The lease moves to ``done`` and the result lands in the store in
+        one transaction: a failed ack leaves the lease ``leased`` (it
+        requeues at its deadline) and no run row.  The run key is
+        recomputed *server-side* from the leased request fields, so
+        workers never get to choose where a result lands.  Returns the
+        acked lease row and the job's lease counts, or ``None`` when the
+        lease is not live (acked already, or expired and reassigned).
         """
+        with self.store.transaction():
+            lease = self.store.ack_lease(lease_id, wall_time=wall_time)
+            if lease is None:
+                return None
+            fields = lease["request"]
+            result = RunResult(
+                workload=fields["workload"], category=category,
+                paper_tag=paper_tag, config=fields["config"], stats=stats,
+            )
+            key = request_from_fields(fields).memo_key()
+            if key is not None:
+                self.store.put(key, result, job_id=lease["job_id"])
         job_id = lease["job_id"]
-        request = request_from_fields(lease["request"])
-        key = request.memo_key()
-        if key is not None:
-            self.store.put(key, result, job_id=job_id)
+        worker = worker or lease["worker"]
         job = self.get(job_id)
         if job is not None and 0 <= lease["cell_index"] < len(job.cells):
             cell = job.cells[lease["cell_index"]]
@@ -371,7 +408,7 @@ class JobQueue:
         counts = self.store.lease_counts(job_id)
         if counts["pending"] == 0 and counts["leased"] == 0:
             self._finalize_distributed(job_id, job)
-        return counts
+        return lease, counts
 
     def _finalize_distributed(self, job_id: str, job: Optional[Job]) -> None:
         if job is not None:
@@ -457,6 +494,11 @@ class JobQueue:
         self.store.update_job(
             job.job_id, status=status, finished=job.finished, **record
         )
+        # evicted only once the store can answer for it
+        with self._lock:
+            self._finished.append(job.job_id)
+            while len(self._finished) > FINISHED_JOBS_KEPT:
+                del self._jobs[self._finished.popleft()]
         return True
 
     # ------------------------------------------------------------------

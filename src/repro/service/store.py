@@ -22,6 +22,13 @@ Robustness: constructed with ``strict=False`` (the harness attach path),
 a corrupt or locked database degrades to warnings — reads miss, writes
 drop — so a broken store can never fail a run that simulated fine.  The
 service itself opens ``strict=True`` and refuses loudly.
+
+Durability: the database runs in SQLite's write-ahead-log mode with
+``synchronous=FULL`` on every connection, so each commit costs one fsync
+of the log and a committed row survives a crash or power loss.  A
+service operation that writes more than once does so inside one
+:meth:`ExperimentStore.transaction`, so a failure leaves none of its
+writes behind.
 """
 
 from __future__ import annotations
@@ -234,9 +241,13 @@ class ExperimentStore:
         ``threading.local``, so it goes when the thread does); a forked
         process opens its own instead of sharing the parent's handle.
         After any SQLite error the connection is dropped, and the next
-        call reconnects.
+        call reconnects.  Inside :meth:`transaction` the enclosing
+        transaction commits or rolls back instead.
         """
         local = self._local
+        if getattr(local, "txn", False):
+            yield local.conn
+            return
         conn = getattr(local, "conn", None)
         if conn is None or local.pid != os.getpid():
             if conn is not None:
@@ -244,6 +255,9 @@ class ExperimentStore:
                 local.inherited = conn
             conn = sqlite3.connect(str(self.path), timeout=self.timeout)
             conn.row_factory = sqlite3.Row
+            # SQLite's default, stated because builds may lower it for WAL:
+            # FULL syncs the log on every commit, so commits survive power loss
+            conn.execute("PRAGMA synchronous=FULL")
             local.conn, local.pid = conn, os.getpid()
         try:
             with conn:
@@ -252,6 +266,30 @@ class ExperimentStore:
             local.conn = None
             conn.close()
             raise
+
+    @contextmanager
+    def transaction(self):
+        """Run every call this thread makes on the store inside the block
+        as one SQLite transaction: their writes commit together when the
+        block ends, and none of them does if it raises.
+
+        The write lock is taken up front (``BEGIN IMMEDIATE``), so a read
+        inside the block is never invalidated by another writer.  Inside
+        the block a failed call always raises, strict or not, so a
+        partial transaction cannot commit.  Nested blocks join the
+        outermost one.
+        """
+        local = self._local
+        if getattr(local, "txn", False) or not self._ensure():
+            yield
+            return
+        with self._connect() as conn:
+            conn.execute("BEGIN IMMEDIATE")
+            local.txn = True
+            try:
+                yield
+            finally:
+                local.txn = False
 
     def _ensure(self) -> bool:
         """Create or migrate the schema once; False when degraded."""
@@ -263,6 +301,9 @@ class ExperimentStore:
             try:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 with self._connect() as conn:
+                    # the journal mode is stored in the file: set it once
+                    if conn.execute("PRAGMA journal_mode").fetchone()[0] != "wal":
+                        conn.execute("PRAGMA journal_mode=WAL")
                     self._ensure_schema(conn)
             except StoreSchemaError:
                 raise
@@ -327,7 +368,7 @@ class ExperimentStore:
 
     def _degrade(self, what: str, exc: Exception) -> None:
         self.counters.errors += 1
-        if self.strict:
+        if self.strict or getattr(self._local, "txn", False):
             raise StoreSchemaError(f"experiment store {what} failed: {exc}") from exc
         warn(f"experiment store {what} failed: {exc}", RuntimeWarning)
 
@@ -336,8 +377,12 @@ class ExperimentStore:
             return {}
         with self._connect() as conn:
             rows = conn.execute("SELECT key, value FROM meta").fetchall()
+            journal_mode = conn.execute("PRAGMA journal_mode").fetchone()[0]
+            synchronous = conn.execute("PRAGMA synchronous").fetchone()[0]
         info: Dict[str, Any] = {row["key"]: row["value"] for row in rows}
         info["schema_version"] = int(info["schema_version"])
+        info["journal_mode"] = journal_mode
+        info["synchronous"] = synchronous
         return info
 
     # ------------------------------------------------------------------

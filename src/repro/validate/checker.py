@@ -32,6 +32,7 @@ slower — see docs/validation.md for the overhead note).
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Dict, List
 
 from repro.isa.dyninst import (
@@ -65,7 +66,9 @@ class InvariantChecker:
     """Asserts pipeline invariants for one :class:`Core` instance."""
 
     def __init__(self, core: "Core"):
-        self.core = core
+        # the core owns its checker: a weak proxy back, as in
+        # PredicationScheme.attach, lets a dropped core die by refcount
+        self.core = weakref.proxy(core)
         self.checks = 0                 # total invariant evaluations
         self.last_retired_seq = -1
         self.retired_pred_false = 0

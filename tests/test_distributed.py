@@ -14,6 +14,7 @@ The load-bearing guarantees (docs/distributed.md):
 
 from __future__ import annotations
 
+import sqlite3
 import sys
 import threading
 import time
@@ -32,9 +33,11 @@ from repro.harness.parallel import (
     resolve_backend,
     run_matrix,
 )
+from repro.core.stats import SimStats
 from repro.harness.runner import clear_memo, normalized_run_key
 from repro.service.app import background_server
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.jobs import JobQueue
 from repro.service.store import (
     STORE_SCHEMA_VERSION,
     ExperimentStore,
@@ -120,6 +123,126 @@ def test_v1_store_migrates_to_v2_in_place(tmp_path):
     assert migrated.schema_info()["schema_version"] == STORE_SCHEMA_VERSION
     migrated.enqueue_cells("job-1", _cells([("mcf", "acb")]))
     assert migrated.lease_next("w0") is not None
+
+
+# ----------------------------------------------------------------------
+# one transaction per multi-write operation: a failure leaves no trace
+# ----------------------------------------------------------------------
+@pytest.fixture
+def queue(tmp_path):
+    """A job queue on a store that gives up on a lock after 50 ms."""
+    store = ExperimentStore(str(tmp_path / "exp.sqlite"), timeout=0.05)
+    jobs = JobQueue(store, jobs=1)
+    yield jobs
+    jobs.close()
+
+
+def _leased_cell(queue, ttl=30.0):
+    """Submit one distributed cell and lease it; returns (lease, run key)."""
+    request = RunRequest("mcf", "acb", warmup=WARMUP, measure=MEASURE)
+    queue.submit([request], backend="distributed")
+    return queue.lease("w0", ttl=ttl), request.memo_key()
+
+
+def _assert_still_leased(store, key):
+    assert store.get(key) is None
+    assert store.count_runs() == 0
+    assert store.lease_counts() == {"pending": 0, "leased": 1, "done": 0}
+
+
+def test_torn_ack_commits_neither_write_and_the_cell_requeues(
+        queue, monkeypatch):
+    store = queue.store
+    lease, key = _leased_cell(queue, ttl=0.2)
+    put = ExperimentStore.put
+
+    def put_then_fail(self, *args, **kwargs):
+        put(self, *args, **kwargs)  # the run row is written ...
+        raise RuntimeError("torn")  # ... and the ack dies before commit
+
+    monkeypatch.setattr(ExperimentStore, "put", put_then_fail)
+    with pytest.raises(RuntimeError, match="torn"):
+        queue.complete_cell(lease["lease_id"], SimStats(), 0.1)
+    monkeypatch.undo()
+    _assert_still_leased(store, key)
+
+    # the lease was never marked done, so it requeues at its deadline
+    assert store.requeue_expired(now=lease["deadline"] + 1.0)
+    again = queue.lease("w1", ttl=30.0)
+    assert again["attempts"] == 2
+    acked, counts = queue.complete_cell(again["lease_id"], SimStats(), 0.1)
+    assert counts == {"pending": 0, "leased": 0, "done": 1}
+    assert store.get(key).stats == SimStats()
+
+
+def test_ack_against_a_locked_database_fails_whole_then_retries(queue):
+    store = queue.store
+    lease, key = _leased_cell(queue)
+    holder = sqlite3.connect(str(store.path))
+    holder.execute("BEGIN EXCLUSIVE")
+    try:
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            queue.complete_cell(lease["lease_id"], SimStats(), 0.1)
+    finally:
+        holder.rollback()
+        holder.close()
+    _assert_still_leased(store, key)
+    assert store.list_leases()[0]["state"] == "leased"
+
+    acked, counts = queue.complete_cell(lease["lease_id"], SimStats(), 0.1)
+    assert acked["run_id"] == run_id_for(key)
+    assert counts["done"] == 1
+    assert store.get(key) is not None
+
+
+def test_concurrent_leases_and_acks_keep_every_done_cell_stored(queue):
+    """More lease-and-ack threads than cores, switching often: each cell
+    is leased once, and every ``done`` lease has its run row."""
+    cells = 12
+    queue.store.timeout = 30.0  # writers queue on the lock, none gives up
+    queue.submit([RunRequest("mcf", "acb", warmup=WARMUP, measure=MEASURE + i)
+                  for i in range(cells)], backend="distributed")
+    errors = []
+
+    def drain(worker):
+        try:
+            while True:
+                lease = queue.lease(worker, ttl=30.0)
+                if lease is None:
+                    return
+                assert queue.complete_cell(lease["lease_id"], SimStats(), 0.0)
+        except Exception as exc:  # pragma: no cover - the failure mode
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=drain, args=(f"w{i}",))
+                   for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    assert errors == []
+    leases = queue.store.list_leases()
+    assert [row["attempts"] for row in leases] == [1] * cells
+    assert {row["state"] for row in leases} == {"done"}
+    assert queue.store.count_runs() == cells
+
+
+def test_failed_distributed_submit_leaves_no_job_behind(queue, monkeypatch):
+    def enqueue_fails(self, job_id, cells):
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(ExperimentStore, "enqueue_cells", enqueue_fails)
+    with pytest.raises(RuntimeError, match="disk full"):
+        queue.submit([RunRequest("mcf", "acb", warmup=WARMUP,
+                                 measure=MEASURE)], backend="distributed")
+    assert queue.store.list_jobs() == []
+    assert queue.snapshot() == []
 
 
 # ----------------------------------------------------------------------

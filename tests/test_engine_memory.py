@@ -106,6 +106,9 @@ def test_no_cyclic_uop_garbage_with_trace_log_and_checks(collector_off):
     assert len(log) > MEASURE and core.trace.uops_seen > len(log)
     assert_no_uop_garbage()
     core.checker.final_check()
+    # the checker's back-reference is weak too
+    del core, log
+    assert cyclic_garbage()["Core"] == 0
 
 
 def _restore_consumers(monkeypatch):

@@ -27,6 +27,7 @@ import pytest
 
 from repro.harness.parallel import RunRequest, run_matrix
 from repro.harness.runner import clear_memo
+from repro.service import jobs as jobs_module
 from repro.service.app import ROUTES, BadRequest, background_server, parse_matrix
 from repro.service.client import ServiceClient, ServiceError
 
@@ -79,6 +80,7 @@ def test_health(service):
     health = service.health()
     assert health["status"] == "ok"
     assert health["schema"] == "repro-store"
+    assert (health["journal_mode"], health["synchronous"]) == ("wal", 2)
 
 
 def test_submit_results_match_run_matrix_bit_for_bit(service):
@@ -160,6 +162,31 @@ def test_event_feed_cursor(service):
     # the cursor excludes everything at or before `since`
     rest = service.events(job["job_id"], since=seqs[-2])
     assert [e["seq"] for e in rest["events"]] == [seqs[-1]]
+
+
+def test_finished_jobs_beyond_the_cap_are_answered_from_the_store(
+        service, monkeypatch):
+    monkeypatch.setattr(jobs_module, "FINISHED_JOBS_KEPT", 2)
+    job_ids = []
+    for _ in range(4):
+        job = service.submit(workloads=["lammps"], configs=["baseline"],
+                             warmup=WARMUP, measure=MEASURE)
+        service.wait(job["job_id"], timeout=300)
+        job_ids.append(job["job_id"])
+        # health counts the jobs the queue holds in memory
+        assert sum(service.health()["jobs"].values()) <= 2
+
+    evicted = job_ids[0]
+    status = service.job(evicted)
+    assert status["status"] == "done"
+    assert "events" not in status  # the stored row, not the live job
+    assert service.events(evicted) == {"events": [], "next": 0,
+                                       "status": "done"}
+    manifest = service.manifest(evicted)
+    assert manifest["job_id"] == evicted
+    assert [c["workload"] for c in manifest["cells"]] == ["lammps"]
+    assert len(service.results(evicted)) == 1
+    assert service.wait(evicted, timeout=30)["status"] == "done"
 
 
 def test_run_query_and_detail(service):

@@ -9,6 +9,9 @@ writers, and the memo → store lookup chain.
 
 from __future__ import annotations
 
+import json
+import os
+import signal
 import sqlite3
 import threading
 
@@ -102,6 +105,7 @@ def test_schema_info(store):
     info = store.schema_info()
     assert info["schema_version"] == STORE_SCHEMA_VERSION
     assert info["schema"] == "repro-store"
+    assert (info["journal_mode"], info["synchronous"]) == ("wal", 2)
 
 
 def test_newer_schema_refused(store):
@@ -132,6 +136,71 @@ def test_migration_applied_in_place(store):
         assert reopened.get(small_key()) is not None
     finally:
         del store_module._MIGRATIONS[0]
+
+
+# ----------------------------------------------------------------------
+# durability: write-ahead log, synced on every commit
+# ----------------------------------------------------------------------
+def _durability(store):
+    """This thread's connection's journal mode and synchronous level."""
+    with store._connect() as conn:
+        return [conn.execute("PRAGMA journal_mode").fetchone()[0],
+                conn.execute("PRAGMA synchronous").fetchone()[0]]
+
+
+def test_every_connection_is_wal_with_full_sync(store):
+    store.schema_info()  # create
+    assert _durability(store) == ["wal", 2]
+    with store._connect() as conn:
+        parents = conn
+
+    in_thread = []
+    thread = threading.Thread(target=lambda: in_thread.append(_durability(store)))
+    thread.start()
+    thread.join(10)
+    assert not thread.is_alive()
+    assert in_thread == [["wal", 2]]
+
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # child: report on the connection it opens, then leave
+        status = 1
+        try:
+            # a child that deadlocks on a lock held at fork dies instead
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.alarm(30)
+            seen = _durability(store)
+            with store._connect() as conn:
+                seen.append(conn is not parents)
+            os.write(write, json.dumps(seen).encode())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    with os.fdopen(read) as pipe:
+        in_child = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    assert status == 0
+    assert json.loads(in_child) == ["wal", 2, True]
+
+
+def test_rollback_journal_store_converts_to_wal_with_rows_intact(tmp_path):
+    path = str(tmp_path / "exp.sqlite")
+    old = ExperimentStore(path)
+    old.put(small_key(), small_result())
+    old.put(small_key("acb"), small_result("acb"))
+    with old._connect() as conn:
+        pass
+    conn.close()  # leaving the journal mode needs the only connection
+    conn = sqlite3.connect(path)
+    assert conn.execute("PRAGMA journal_mode=DELETE").fetchone()[0] == "delete"
+    conn.close()
+    assert not os.path.exists(path + "-wal")
+
+    reopened = ExperimentStore(path)
+    assert reopened.schema_info()["journal_mode"] == "wal"
+    assert reopened.count_runs() == 2
+    assert reopened.get(small_key("acb")).stats == small_result("acb").stats
 
 
 # ----------------------------------------------------------------------
