@@ -407,8 +407,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import signal
+
     from repro.service.app import ROUTES, Service, make_server
     from repro.service.store import StoreSchemaError
+
+    # a shell starts background jobs with SIGINT ignored, and Python then
+    # keeps it ignored: restore it so `kill -INT` shuts down cleanly
+    signal.signal(signal.SIGINT, signal.default_int_handler)
 
     try:
         # Service.create installs the store behind the run memo, so

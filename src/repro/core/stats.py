@@ -103,14 +103,14 @@ class SimStats:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "SimStats":
-        data = dict(data)
-        per_branch = {
-            int(pc): BranchPCStats.from_dict(s)
-            for pc, s in data.pop("per_branch", {}).items()
-        }
-        known = {f.name for f in fields(cls)}
-        stats = cls(**{k: v for k, v in data.items() if k in known})
-        stats.per_branch = per_branch
+        """Rebuild from :meth:`to_dict` output; unknown keys are ignored
+        and missing counters keep their defaults."""
+        stats = cls(**{k: v for k, v in data.items() if k in _COUNTER_NAMES})
+        per_branch = data.get("per_branch")
+        if per_branch:
+            stats.per_branch = {
+                int(pc): BranchPCStats(**s) for pc, s in per_branch.items()
+            }
         return stats
 
     def summary(self) -> Dict[str, float]:
@@ -125,3 +125,10 @@ class SimStats:
             "allocated": self.allocated,
             "alloc_stalls": self.alloc_stall_cycles,
         }
+
+
+#: the scalar counters :meth:`SimStats.from_dict` accepts, computed once
+#: because store reads decode a row per cell
+_COUNTER_NAMES = frozenset(
+    f.name for f in fields(SimStats) if f.name != "per_branch"
+)

@@ -250,13 +250,16 @@ def collect(
         title=title or "repro dashboard — ACB (ISCA 2020) reproduction",
         db_path=str(store.path),
     )
-    data.schema = store.schema_info()
-    data.runs = _collect_runs(store, limit)
-    data.jobs = store.list_jobs(limit=50)
-    data.lease_counts = store.lease_counts()
-    data.leases = store.list_leases(limit=200)
+    try:
+        data.schema = store.schema_info()
+        data.runs = _collect_runs(store, limit)
+        data.jobs = store.list_jobs(limit=50)
+        data.lease_counts = store.lease_counts()
+        data.leases = store.list_leases(limit=200)
+        data.timelines = _timelines(store)
+    finally:
+        store.close()
     data.speedups = _speedups(data.runs)
     data.branches = _branches(data.runs)
-    data.timelines = _timelines(store)
     data.bench, data.bench_reports = _bench_series(bench_dir)
     return data

@@ -34,9 +34,10 @@ def key_digest(key: RunKey) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
-#: Anything with ``get(key) -> RunResult|None`` and ``put(key, result)``
-#: keyed by normalized run keys.  Registered here (rather than imported) so
-#: the harness stays ignorant of the service layer.
+#: Anything with ``get_many(keys) -> {key: RunResult}`` and
+#: ``put(key, result)`` keyed by normalized run keys.  Registered here
+#: (rather than imported) so the harness stays ignorant of the service
+#: layer.
 _ACTIVE_STORE = None
 
 

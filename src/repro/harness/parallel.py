@@ -35,8 +35,9 @@ from repro.harness.runner import (
     RunResult,
     _relabel,
     lookup_cached,
+    lookup_many,
     normalized_run_key,
-    run_workload,
+    simulate,
     store_result,
 )
 from repro.workloads import Workload
@@ -261,11 +262,14 @@ def record_artifacts(paths, workload: str = "", config: str = "",
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-def _execute_cell(request: RunRequest):
-    """Simulate one cell, reporting its wall time; failures name the cell."""
+def _execute_cell(request: RunRequest, key: Optional[tuple]):
+    """Simulate one cell (already looked up) and write it through under
+    *key*, reporting its wall time; failures name the cell."""
     start = time.monotonic()
     try:
-        result = run_workload(**request.kwargs())
+        result = simulate(**request.kwargs())
+        if key is not None:
+            store_result(key, result)
     except Exception as exc:
         raise _cell_error(request, exc) from exc
     return result, time.monotonic() - start
@@ -287,7 +291,7 @@ def _pool_cell(request: RunRequest):
             cached, source = lookup_cached(key)
             if cached is not None:
                 return _relabel(cached, request.config), 0.0, source
-        return (*_execute_cell(request), "run")
+        return (*_execute_cell(request, key), "run")
     finally:
         set_active_store(previous)
 
@@ -344,6 +348,7 @@ def run_matrix(
 
     Cells already satisfied by the memo or the experiment store are not
     re-simulated; duplicate cells within one matrix are simulated once.
+    The memo misses among the matrix's keys cost one store read.
     The accounting becomes this thread's :func:`last_manifest` and is
     added to the :func:`session_summary`.
 
@@ -365,9 +370,10 @@ def run_matrix(
     records: List[Optional[CellRecord]] = [None] * len(requests)
     pending: List[int] = []
     first_for_key: Dict[tuple, int] = {}
+    keys = [request.memo_key() for request in requests]
+    found = lookup_many(dict.fromkeys(key for key in keys if key is not None))
 
-    for i, request in enumerate(requests):
-        key = request.memo_key()
+    for i, (request, key) in enumerate(zip(requests, keys)):
         if key is not None:
             owner = first_for_key.setdefault(key, i)
             if owner != i:
@@ -375,8 +381,8 @@ def run_matrix(
                     request.workload_name, request.config, "dedup"
                 )
                 continue
-            cached, source = lookup_cached(key)
-            if cached is not None:
+            if key in found:
+                cached, source = found[key]
                 results[i] = _relabel(cached, request.config)
                 records[i] = CellRecord(
                     request.workload_name, request.config, source
@@ -385,16 +391,16 @@ def run_matrix(
         pending.append(i)
 
     if backend == "distributed":
-        _run_distributed(requests, pending, results, records)
+        _run_distributed(requests, keys, pending, results, records)
     elif jobs <= 1 or len(pending) <= 1:
-        _run_serial(requests, pending, results, records)
+        _run_serial(requests, keys, pending, results, records)
     else:
-        _run_pool(requests, pending, results, records, jobs)
+        _run_pool(requests, keys, pending, results, records, jobs)
 
     # duplicate cells inherit the owner's result under their own label
     for i, request in enumerate(requests):
         if results[i] is None and records[i] is not None and records[i].source == "dedup":
-            owner = first_for_key[request.memo_key()]
+            owner = first_for_key[keys[i]]
             results[i] = _relabel(results[owner], request.config)
 
     manifest.cells = [r for r in records if r is not None]
@@ -456,7 +462,7 @@ def _is_picklable(request: RunRequest) -> bool:
         return False
 
 
-def _run_distributed(requests, ids, results, records) -> None:
+def _run_distributed(requests, keys, ids, results, records) -> None:
     """Distributed dispatch: ship leasable cells out, run the rest here.
 
     Cells without a memo key (ad-hoc Workload objects, explicit config
@@ -467,8 +473,8 @@ def _run_distributed(requests, ids, results, records) -> None:
     """
     from repro.harness.distributed import dispatch_cells
 
-    remote = [i for i in ids if requests[i].memo_key() is not None]
-    local = [i for i in ids if requests[i].memo_key() is None]
+    remote = [i for i in ids if keys[i] is not None]
+    local = [i for i in ids if keys[i] is None]
     outcomes = dispatch_cells(requests, remote)
     for i in remote:
         outcome = outcomes[i]
@@ -477,19 +483,19 @@ def _run_distributed(requests, ids, results, records) -> None:
             requests[i].workload_name, requests[i].config, "run",
             outcome["wall_time"], worker=outcome.get("worker") or "",
         )
-        store_result(requests[i].memo_key(), outcome["result"])
-    _run_serial(requests, local, results, records)
+        store_result(keys[i], outcome["result"])
+    _run_serial(requests, keys, local, results, records)
 
 
-def _run_serial(requests, ids, results, records) -> None:
+def _run_serial(requests, keys, ids, results, records) -> None:
     for i in ids:
-        results[i], elapsed = _execute_cell(requests[i])
+        results[i], elapsed = _execute_cell(requests[i], keys[i])
         records[i] = CellRecord(
             requests[i].workload_name, requests[i].config, "run", elapsed
         )
 
 
-def _run_pool(requests, ids, results, records, jobs) -> None:
+def _run_pool(requests, keys, ids, results, records, jobs) -> None:
     """Fan picklable cells out over the pool; the rest run in-process."""
     remote, local = [], []
     for i in ids:
@@ -500,7 +506,6 @@ def _run_pool(requests, ids, results, records, jobs) -> None:
         records[i] = CellRecord(
             requests[i].workload_name, requests[i].config, source, elapsed
         )
-        key = requests[i].memo_key()
-        if key is not None:
-            store_result(key, result)
-    _run_serial(requests, local, results, records)
+        if keys[i] is not None:
+            store_result(keys[i], result)
+    _run_serial(requests, keys, local, results, records)

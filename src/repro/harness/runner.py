@@ -249,21 +249,31 @@ def _relabel(result: RunResult, config: str) -> RunResult:
     return replace(result, config=config)
 
 
-def lookup_cached(memo_key: tuple) -> Tuple[Optional[RunResult], Optional[str]]:
-    """Probe the memo, then the durable experiment store.
+def lookup_many(keys) -> Dict[tuple, Tuple[RunResult, str]]:
+    """Probe the memo, then the durable experiment store, for *keys*.
 
-    Returns ``(result, source)`` where source is ``"memo"``, ``"store"``
-    or ``None``.  A store hit enters the memo.
+    Returns ``{key: (result, source)}`` for every key found, source
+    ``"memo"`` or ``"store"``.  The memo misses cost one store read
+    between them; store hits enter the memo.
     """
-    if memo_key in _MEMO:
-        return _MEMO[memo_key], "memo"
+    found: Dict[tuple, Tuple[RunResult, str]] = {}
+    misses = []
+    for key in keys:
+        if key in _MEMO:
+            found[key] = (_MEMO[key], "memo")
+        else:
+            misses.append(key)
     store = get_active_store()
-    if store is not None:
-        hit = store.get(memo_key)
-        if hit is not None:
-            _MEMO[memo_key] = hit
-            return hit, "store"
-    return None, None
+    if misses and store is not None:
+        for key, hit in store.get_many(misses).items():
+            _MEMO[key] = hit
+            found[key] = (hit, "store")
+    return found
+
+
+def lookup_cached(memo_key: tuple) -> Tuple[Optional[RunResult], Optional[str]]:
+    """:func:`lookup_many` for one key: ``(result, source)`` or ``(None, None)``."""
+    return lookup_many([memo_key]).get(memo_key, (None, None))
 
 
 def prepare_run(
@@ -314,6 +324,25 @@ def run_workload(
         cached, _source = lookup_cached(memo_key)
         if cached is not None:
             return _relabel(cached, config)
+    result = simulate(workload, config, core_config, core_scale, warmup,
+                      measure, acb_config, predictor)
+    if memo_key is not None:
+        store_result(memo_key, result)
+    return result
+
+
+def simulate(
+    workload: Union[str, Workload],
+    config: str = "baseline",
+    core_config: Optional[CoreConfig] = None,
+    core_scale: int = 1,
+    warmup: Optional[int] = None,
+    measure: Optional[int] = None,
+    acb_config: Optional[AcbConfig] = None,
+    predictor: Optional[str] = None,
+) -> RunResult:
+    """:func:`run_workload` without the lookup and the write-through:
+    always simulates."""
     if isinstance(workload, str):
         workload_obj = resolve_workload(workload)
     else:
@@ -327,16 +356,13 @@ def run_workload(
         warmup if warmup is not None else default_warmup(),
         measure if measure is not None else default_measure(),
     )
-    result = RunResult(
+    return RunResult(
         workload=workload_obj.name,
         category=workload_obj.category,
         paper_tag=workload_obj.paper_tag,
         config=config,
         stats=stats,
     )
-    if memo_key is not None:
-        store_result(memo_key, result)
-    return result
 
 
 def compare_configs(

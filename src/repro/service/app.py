@@ -295,6 +295,7 @@ class Service:
     def close(self) -> None:
         self.queue.close()
         set_active_store(getattr(self, "_previous_store", None))
+        self.store.close()
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):

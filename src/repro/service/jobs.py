@@ -351,6 +351,8 @@ class JobQueue:
             with self._leasable:
                 if self._enqueued == seen and not self._closed:
                     self._leasable.wait(max(remaining, 0.0))
+                if self._closed:
+                    return None
 
     # ------------------------------------------------------------------
     # distributed-cell completion (called by the worker ack route)
@@ -473,6 +475,11 @@ class JobQueue:
         Returns False (and changes nothing) when the job already was
         terminal.
         """
+        # make room first: a reader that sees this job terminal must not
+        # find more than FINISHED_JOBS_KEPT finished jobs in memory
+        with self._lock:
+            while self._finished and len(self._finished) >= FINISHED_JOBS_KEPT:
+                del self._jobs[self._finished.popleft()]
         with job._lock:
             if job.terminal:
                 return False

@@ -40,6 +40,7 @@ import sqlite3
 import threading
 import time
 import uuid
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -70,6 +71,11 @@ LEASE_STATES = ("pending", "leased", "done")
 
 #: Default seconds a worker's lease (and each heartbeat renewal) lasts.
 DEFAULT_LEASE_TTL = 30.0
+
+#: Run ids per ``SELECT … WHERE run_id IN (…)`` in
+#: :meth:`ExperimentStore.get_many`: below SQLite's bound-parameter limit
+#: (999 in builds older than 3.32).
+GET_MANY_CHUNK = 500
 
 #: The version-2 addition: lease bookkeeping for distributed matrix cells.
 #: Kept as its own script so the 1 -> 2 migration and the fresh-database
@@ -161,6 +167,16 @@ def run_id_for(key: RunKey) -> str:
     return key_digest(key)
 
 
+class _Connection(sqlite3.Connection):
+    """A store connection: it records the process that opened it, holds
+    the lock its users take, and (unlike the base class) can be weakly
+    referenced."""
+
+    pid: int
+    lock: threading.Lock
+    closed: bool
+
+
 @dataclass
 class StoreCounters:
     """Hit/miss accounting for one :class:`ExperimentStore` instance."""
@@ -179,7 +195,9 @@ class ExperimentStore:
     processes serialize on SQLite's file lock (``timeout`` seconds before
     giving up).  Writes of the same ``run_id`` are idempotent
     (``INSERT OR IGNORE`` — identical keys serialize identical payloads),
-    so a row keeps the ``job_id`` of whichever job first wrote it.
+    so a row keeps the ``job_id`` of whichever job first wrote it; only a
+    row that this instance found undecodable is replaced by the next write
+    of its key.  :meth:`close` closes every connection the store opened.
     """
 
     def __init__(
@@ -199,9 +217,13 @@ class ExperimentStore:
         self.counters = StoreCounters()
         self._ready = False
         self._broken = False
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._owner = threading.local()
         self._local = threading.local()
+        #: every connection opened and not yet closed, across threads
+        self._conns: "weakref.WeakSet[_Connection]" = weakref.WeakSet()
+        #: run ids whose row failed to decode: the next put replaces them
+        self._corrupt: set = set()
 
     @classmethod
     def from_env(cls, path: Optional[str] = None) -> Optional["ExperimentStore"]:
@@ -233,6 +255,29 @@ class ExperimentStore:
     # ------------------------------------------------------------------
     # connection / schema lifecycle
     # ------------------------------------------------------------------
+    def _connection(self) -> _Connection:
+        """This thread's open connection, opened on first use."""
+        local = self._local
+        conn = getattr(local, "conn", None)
+        if conn is not None and not conn.closed and conn.pid == os.getpid():
+            return conn
+        if conn is not None and conn.pid != os.getpid():
+            # inherited across fork: never close the parent's handle
+            local.inherited = conn
+        # close() runs on whichever thread calls it, so a connection is
+        # shared across threads: its lock keeps it to one at a time
+        conn = sqlite3.connect(str(self.path), timeout=self.timeout,
+                               factory=_Connection, check_same_thread=False)
+        conn.pid, conn.lock, conn.closed = os.getpid(), threading.Lock(), False
+        conn.row_factory = sqlite3.Row
+        # SQLite's default, stated because builds may lower it for WAL:
+        # FULL syncs the log on every commit, so commits survive power loss
+        conn.execute("PRAGMA synchronous=FULL")
+        local.conn = conn
+        with self._lock:
+            self._conns.add(conn)
+        return conn
+
     @contextmanager
     def _connect(self):
         """This thread's connection, inside one transaction.
@@ -240,32 +285,47 @@ class ExperimentStore:
         Each thread keeps one connection for the life of the thread (in a
         ``threading.local``, so it goes when the thread does); a forked
         process opens its own instead of sharing the parent's handle.
-        After any SQLite error the connection is dropped, and the next
-        call reconnects.  Inside :meth:`transaction` the enclosing
-        transaction commits or rolls back instead.
+        After any SQLite error, or a :meth:`close`, the connection is
+        dropped, and the next call reconnects.  Inside
+        :meth:`transaction` the enclosing transaction commits or rolls
+        back instead.
         """
         local = self._local
         if getattr(local, "txn", False):
             yield local.conn
             return
-        conn = getattr(local, "conn", None)
-        if conn is None or local.pid != os.getpid():
-            if conn is not None:
-                # inherited across fork: never close the parent's handle
-                local.inherited = conn
-            conn = sqlite3.connect(str(self.path), timeout=self.timeout)
-            conn.row_factory = sqlite3.Row
-            # SQLite's default, stated because builds may lower it for WAL:
-            # FULL syncs the log on every commit, so commits survive power loss
-            conn.execute("PRAGMA synchronous=FULL")
-            local.conn, local.pid = conn, os.getpid()
+        while True:
+            conn = self._connection()
+            conn.lock.acquire()
+            if not conn.closed:
+                break
+            conn.lock.release()  # closed between the lookup and the lock
         try:
             with conn:
                 yield conn
         except sqlite3.Error:
             local.conn = None
             conn.close()
+            conn.closed = True
             raise
+        finally:
+            conn.lock.release()
+
+    def close(self) -> None:
+        """Close every connection this process opened on the store.
+
+        A connection in use by another thread is closed once that call
+        ends.  Closing the last connection to the database checkpoints
+        the write-ahead log and removes the ``-wal``/``-shm`` files.  A
+        later call on any thread opens a new connection.
+        """
+        with self._lock:
+            conns = [conn for conn in self._conns if conn.pid == os.getpid()]
+            self._conns.clear()
+        for conn in conns:
+            with conn.lock:
+                conn.close()
+                conn.closed = True
 
     @contextmanager
     def transaction(self):
@@ -390,40 +450,59 @@ class ExperimentStore:
     # ------------------------------------------------------------------
     def get(self, key: RunKey):
         """Stored ``RunResult`` for *key*, or ``None`` on any kind of miss."""
+        return self.get_many([key]).get(key)
+
+    def get_many(self, keys) -> Dict[RunKey, Any]:
+        """``{key: RunResult}`` for every key of *keys* that is stored.
+
+        One ``SELECT … WHERE run_id IN (…)`` per :data:`GET_MANY_CHUNK`
+        keys.  Each key counts one hit or miss; a row that does not decode
+        warns, counts an error and is left out.  A failed read degrades to
+        ``{}`` (strict stores raise).
+        """
         from repro.core.stats import SimStats
         from repro.harness.runner import RunResult  # circular at import time
 
+        wanted = {run_id_for(key): key for key in keys}
+        if not wanted:
+            return {}
+        ids = list(wanted)
+        rows = []
         try:
             if not self._ensure():
-                return None
+                return {}
             with self._connect() as conn:
-                row = conn.execute(
-                    "SELECT workload, category, paper_tag, config, stats "
-                    "FROM runs WHERE run_id = ?",
-                    (run_id_for(key),),
-                ).fetchone()
+                for start in range(0, len(ids), GET_MANY_CHUNK):
+                    chunk = ids[start:start + GET_MANY_CHUNK]
+                    rows += conn.execute(
+                        "SELECT run_id, workload, category, paper_tag, config, "
+                        "stats FROM runs WHERE run_id IN "
+                        f"({', '.join('?' * len(chunk))})",
+                        chunk,
+                    ).fetchall()
         except StoreSchemaError:
             raise
         except (sqlite3.Error, OSError) as exc:
             self._degrade("read", exc)
-            return None
-        if row is None:
-            self.counters.misses += 1
-            return None
-        try:
-            result = RunResult(
-                workload=row["workload"],
-                category=row["category"],
-                paper_tag=row["paper_tag"],
-                config=row["config"],
-                stats=SimStats.from_dict(json.loads(row["stats"])),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            warn(f"ignoring corrupt store row for {key}: {exc}", RuntimeWarning)
-            self.counters.errors += 1
-            return None
-        self.counters.hits += 1
-        return result
+            return {}
+        found: Dict[RunKey, Any] = {}
+        for run_id, workload, category, paper_tag, config, stats in rows:
+            key = wanted[run_id]
+            try:
+                found[key] = RunResult(
+                    workload=workload,
+                    category=category,
+                    paper_tag=paper_tag,
+                    config=config,
+                    stats=SimStats.from_dict(json.loads(stats)),
+                )
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                warn(f"ignoring corrupt store row for {key}: {exc}", RuntimeWarning)
+                self.counters.errors += 1
+                self._corrupt.add(run_id)
+        self.counters.hits += len(found)
+        self.counters.misses += len(wanted) - len(rows)
+        return found
 
     def put(self, key: RunKey, result, job_id: Optional[str] = None) -> None:
         """Persist *result* under *key* (idempotent; degrades on failure).
@@ -433,17 +512,20 @@ class ExperimentStore:
         """
         if job_id is None:
             job_id = getattr(self._owner, "job_id", None)
+        run_id = run_id_for(key)
+        # a row this store could not decode is replaced, never kept
+        verb = "REPLACE" if run_id in self._corrupt else "IGNORE"
         try:
             if not self._ensure():
                 return
             with self._connect() as conn:
                 cursor = conn.execute(
-                    "INSERT OR IGNORE INTO runs(run_id, run_key, workload, "
+                    f"INSERT OR {verb} INTO runs(run_id, run_key, workload, "
                     "config, core_scale, predictor, warmup, measure, "
                     "category, paper_tag, stats, created, job_id) "
                     "VALUES(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                     (
-                        run_id_for(key),
+                        run_id,
                         json.dumps(list(key)),
                         key[0],
                         key[1],
@@ -460,6 +542,7 @@ class ExperimentStore:
                 )
                 if cursor.rowcount:
                     self.counters.stores += 1
+            self._corrupt.discard(run_id)
         except StoreSchemaError:
             raise
         except (sqlite3.Error, OSError) as exc:

@@ -143,6 +143,49 @@ class TestRunMatrix:
         assert [r.stats for r in again] == [r.stats for r in first]
 
 
+    def test_one_store_read_per_matrix(self, tmp_path, monkeypatch):
+        """Memo hits, store hits, in-matrix duplicates, a miss and an
+        unkeyed cell: the memo misses cost one ``get_many`` between them,
+        and every cell's source is what a per-cell lookup reported."""
+        from repro.acb import AcbConfig
+        from repro.harness.cache import set_active_store
+        from repro.service.store import ExperimentStore
+
+        store = ExperimentStore(str(tmp_path / "exp.sqlite"))
+        previous = set_active_store(store)
+        try:
+            memo_hit = RunRequest("lammps", "baseline", **FAST)
+            store_hit = RunRequest("gcc", "baseline", **FAST)
+            miss = RunRequest("lammps", "acb", **FAST)
+            unkeyed = RunRequest("gcc", "acb", acb_config=AcbConfig().reduced(10),
+                                 **FAST)
+            run_matrix([store_hit], jobs=1)
+            clear_memo()  # gcc now lives in the store only
+            run_matrix([memo_hit], jobs=1)
+
+            reads = []
+            get_many = store.get_many
+            monkeypatch.setattr(store, "get_many",
+                                lambda keys: reads.append(list(keys)) or get_many(keys))
+            requests = [memo_hit, store_hit, miss, memo_hit, store_hit, miss,
+                        unkeyed]
+            results = run_matrix(requests, jobs=1)
+        finally:
+            set_active_store(previous)
+        assert [sorted(keys) for keys in reads] == [
+            sorted([store_hit.memo_key(), miss.memo_key()])
+        ]
+        assert [c.source for c in last_manifest().cells] == [
+            "memo", "store", "run", "dedup", "dedup", "dedup", "run",
+        ]
+        for owner, duplicate in zip(results[:3], results[3:6]):
+            assert duplicate.stats == owner.stats
+        clear_memo()
+        assert [r.stats for r in results] == [
+            r.stats for r in run_matrix(requests, jobs=1)
+        ]
+
+
 class TestManifests:
     def test_last_manifest_is_per_thread(self):
         import threading

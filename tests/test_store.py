@@ -9,17 +9,25 @@ writers, and the memo → store lookup chain.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import signal
 import sqlite3
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.harness import cache as result_cache
 from repro.harness.cache import key_digest
-from repro.harness.runner import clear_memo, normalized_run_key, run_workload
+from repro.harness.runner import (
+    clear_memo,
+    lookup_cached,
+    normalized_run_key,
+    run_workload,
+)
 from repro.service import store as store_module
 from repro.service.store import (
     STORE_SCHEMA_VERSION,
@@ -88,6 +96,131 @@ def test_query_and_get_run(store):
     assert full["run_key"] == list(small_key("acb"))
     assert full["stats"]["cycles"] > 0
     assert store.get_run("no-such-run") is None
+
+
+# ----------------------------------------------------------------------
+# batched reads
+# ----------------------------------------------------------------------
+def _statements(store):
+    """Every SQL statement this thread's connection runs from now on."""
+    seen = []
+    with store._connect() as conn:
+        conn.set_trace_callback(seen.append)
+    return seen
+
+
+def test_get_many_reads_in_chunks(store, monkeypatch):
+    result = small_result()
+    keys = [small_key(warmup=400 + i) for i in range(7)]
+    for key in keys:
+        store.put(key, result)
+    monkeypatch.setattr(store_module, "GET_MANY_CHUNK", 3)
+    statements = _statements(store)
+    found = store.get_many(keys + keys[:2])  # a repeated key is read once
+    selects = [s for s in statements if "WHERE run_id IN" in s]
+    # the trace shows the bound ids, quoted
+    assert [s.count("'") // 2 for s in selects] == [3, 3, 1]
+    assert found.keys() == set(keys)
+    assert all(r.stats == result.stats for r in found.values())
+    assert (store.counters.hits, store.counters.misses) == (7, 0)
+    assert store.get_many([]) == {}
+
+
+def test_get_many_mixes_found_missing_and_corrupt(store):
+    result = small_result()
+    stored = [small_key(warmup=400 + i) for i in range(3)]
+    for key in stored:
+        store.put(key, result)
+    with sqlite3.connect(str(store.path)) as conn:
+        conn.execute("UPDATE runs SET stats = '[1, 2]' WHERE run_id = ?",
+                     (run_id_for(stored[1]),))
+    missing = [small_key(warmup=900 + i) for i in range(2)]
+    with pytest.warns(RuntimeWarning, match="corrupt store row"):
+        found = store.get_many(stored + missing)
+    assert found.keys() == {stored[0], stored[2]}
+    assert found[stored[0]].stats == result.stats
+    assert (store.counters.hits, store.counters.misses,
+            store.counters.errors) == (2, 2, 1)
+
+
+def test_close_releases_every_connection(store):
+    """After ``close()`` no connection holds the file, even one opened by
+    a thread that is still alive, and without the cyclic collector."""
+    store.put(small_key(), small_result())
+    opened, resume, counted = threading.Event(), threading.Event(), []
+
+    def other_thread():
+        counted.append(store.count_runs())
+        opened.set()
+        resume.wait(10)
+        counted.append(store.count_runs())  # reconnects
+
+    thread = threading.Thread(target=other_thread)
+    gc.disable()
+    try:
+        thread.start()
+        assert opened.wait(10)
+        assert os.path.exists(f"{store.path}-wal")
+        store.close()
+        # closing the last connection checkpointed and removed the log
+        assert not os.path.exists(f"{store.path}-wal")
+        assert not os.path.exists(f"{store.path}-shm")
+        conn = sqlite3.connect(str(store.path), timeout=0.05)
+        assert conn.execute("PRAGMA journal_mode=DELETE").fetchone()[0] == "delete"
+        conn.close()
+    finally:
+        gc.enable()
+        resume.set()
+        thread.join(10)
+    assert counted == [1, 1]
+    assert store.get(small_key()) is not None  # this thread reconnects too
+    store.close()
+    store.close()  # idempotent
+
+
+def test_close_while_other_threads_use_the_store(store):
+    """``close()`` in a loop while four threads read and write: no call
+    fails or reads a wrong row, and a final ``close()`` leaves no
+    connection open."""
+    result = small_result()
+    keys = [small_key(warmup=400 + i) for i in range(8)]
+    for key in keys:
+        store.put(key, result)
+    errors, stop = [], threading.Event()
+
+    def hammer(n):
+        try:
+            while not stop.is_set():
+                found = store.get_many(keys)
+                if found.keys() != set(keys) or any(
+                        r.stats != result.stats for r in found.values()):
+                    errors.append(f"wrong read in thread {n}")
+                store.put(small_key(warmup=2_000 + n), result)
+        except Exception as exc:  # pragma: no cover - the failure mode
+            errors.append(exc)
+
+    threads = [threading.Thread(target=hammer, args=(n,)) for n in range(4)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    closes = 0
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 1.0
+        while time.monotonic() < deadline:
+            store.close()
+            closes += 1
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(10)
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert closes > 1
+    assert store.count_runs() == len(keys) + 4
+    store.close()
+    assert not os.path.exists(f"{store.path}-wal")
 
 
 # ----------------------------------------------------------------------
@@ -189,9 +322,7 @@ def test_rollback_journal_store_converts_to_wal_with_rows_intact(tmp_path):
     old = ExperimentStore(path)
     old.put(small_key(), small_result())
     old.put(small_key("acb"), small_result("acb"))
-    with old._connect() as conn:
-        pass
-    conn.close()  # leaving the journal mode needs the only connection
+    old.close()  # leaving the journal mode needs the only connection
     conn = sqlite3.connect(path)
     assert conn.execute("PRAGMA journal_mode=DELETE").fetchone()[0] == "delete"
     conn.close()
@@ -232,6 +363,50 @@ def test_corrupt_row_tolerated(store):
         conn.execute("UPDATE runs SET stats = '{not json'")
     with pytest.warns(RuntimeWarning, match="corrupt"):
         assert store.get(key) is None
+
+    # the re-simulation's write replaces the row that does not decode ...
+    previous = result_cache.set_active_store(store)
+    clear_memo()
+    try:
+        with store.owned_by("resimulated"), \
+                pytest.warns(RuntimeWarning, match="corrupt"):
+            fresh = run_workload("lammps", "baseline", warmup=400, measure=600)
+        clear_memo()
+        result, source = lookup_cached(key)
+    finally:
+        result_cache.set_active_store(previous)
+        clear_memo()
+    assert source == "store"
+    assert result.stats == fresh.stats
+    # ... and a valid row keeps its first writer
+    store.put(key, fresh, job_id="later")
+    assert store.get_run(run_id_for(key))["job_id"] == "resimulated"
+    assert store.count_runs() == 1
+
+
+def test_get_many_locked_db(store):
+    """A read that cannot get the database degrades to ``{}`` in tolerant
+    mode and raises in strict mode."""
+    store.put(small_key(), small_result())
+    tolerant = ExperimentStore(str(store.path), strict=False, timeout=0.05)
+    strict = ExperimentStore(str(store.path), strict=True, timeout=0.05)
+    for each in (store, tolerant, strict):
+        each.schema_info()  # initialized, then every connection let go
+        each.close()
+    holder = sqlite3.connect(str(store.path))
+    holder.execute("PRAGMA locking_mode=EXCLUSIVE")
+    holder.execute("BEGIN EXCLUSIVE")
+    try:
+        with pytest.warns(RuntimeWarning, match="read failed.*locked"):
+            assert tolerant.get_many([small_key()]) == {}
+        assert tolerant.counters.errors == 1
+        assert tolerant.counters.hits + tolerant.counters.misses == 0
+        with pytest.raises(StoreSchemaError, match="locked"):
+            strict.get_many([small_key()])
+    finally:
+        holder.rollback()
+        holder.close()
+    assert tolerant.get_many([small_key()]).keys() == {small_key()}
 
 
 def test_locked_db_tolerant(store):
