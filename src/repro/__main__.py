@@ -91,7 +91,8 @@ from repro.harness.parallel import (
     session_summary,
 )
 from repro.harness.reporting import summarize_session
-from repro.harness.runner import SCHEME_FACTORIES, split_config
+from repro.harness.runner import config_problem
+from repro.validate.differential import DEFAULT_CONFIGS
 from repro.workloads import categories, suite_names
 from repro.workloads.frontier import is_frontier_name
 from repro.workloads.trace import is_trace_name, resolve_trace_path
@@ -136,23 +137,11 @@ def _config_ref(name: str) -> str:
     """argparse type: a configuration name, optionally ``@<predictor>``.
 
     ``choices=`` can't express the open ``scheme@predictor`` product, so
-    ``run``/``trace``/``compare`` validate through the same
-    :func:`split_config` convention the harness uses.
+    this defers to the harness's own :func:`config_problem`.
     """
-    scheme, predictor = split_config(name)
-    if scheme not in SCHEME_FACTORIES:
-        raise argparse.ArgumentTypeError(
-            f"unknown config {scheme!r}; choose from {sorted(SCHEME_FACTORIES)} "
-            f"(optionally suffixed '@<predictor>', e.g. acb@bullseye)"
-        )
-    if predictor is not None:
-        from repro.branch import PREDICTORS
-
-        if predictor not in PREDICTORS:
-            raise argparse.ArgumentTypeError(
-                f"unknown predictor {predictor!r}; "
-                f"choose from {sorted(PREDICTORS)}"
-            )
+    problem = config_problem(name)
+    if problem is not None:
+        raise argparse.ArgumentTypeError(problem)
     return name
 
 
@@ -252,6 +241,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         f"{len(report.failures)} failure(s), configs={','.join(configs)}, "
         f"{report.elapsed:.1f}s{tail}"
     )
+    for config in configs:
+        print(
+            f"  regions opened by {config}: {report.regions_opened[config]} on "
+            f"{report.seeds_with_regions[config]}/{report.completed} seeds"
+        )
     for fail in report.failures:
         print(f"  seed {fail.seed}: {fail.failure.describe()}")
         if fail.repro_path:
@@ -650,8 +644,7 @@ def main(argv=None) -> int:
                        help="first seed of the campaign")
     p_val.add_argument("--budget", type=_parse_budget, default=None,
                        metavar="TIME", help="wall-clock budget, e.g. 120s or 2m")
-    p_val.add_argument("--configs",
-                       default="baseline,acb,acb-dmp-reconv,acb@bullseye",
+    p_val.add_argument("--configs", default=",".join(DEFAULT_CONFIGS),
                        help="comma-separated timing configurations to check "
                             "(scheme names, optionally @<predictor>)")
     p_val.add_argument("--instructions", type=int, default=1200,

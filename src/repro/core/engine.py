@@ -867,12 +867,6 @@ class Core:
         if region is not None and self.cycle - region.opened_cycle > region.plan.max_cycles:
             self._diverge_region(region)
 
-    def _tick_region_timeout(self) -> None:
-        # inlined at both _fetch exits; kept for tests driving it directly
-        region = self.region
-        if region is not None and self.cycle - region.opened_cycle > region.plan.max_cycles:
-            self._diverge_region(region)
-
     def _region_boundary(self, region: RegionRecord) -> bool:
         """Handle fetch arriving at the reconvergence point.
 

@@ -29,12 +29,10 @@ from repro.harness.runner import (
     compare_configs,
     default_measure,
     default_warmup,
-    make_scheme,
     normalized_run_key,
     reduced_acb_config,
     resolve_workload,
     run_workload,
-    scheme_for,
 )
 
 __all__ = [
@@ -54,7 +52,6 @@ __all__ = [
     "geomean",
     "get_active_store",
     "last_manifest",
-    "make_scheme",
     "normalized_run_key",
     "pct",
     "per_category",
@@ -62,7 +59,6 @@ __all__ = [
     "resolve_workload",
     "run_matrix",
     "run_workload",
-    "scheme_for",
     "session_summary",
     "set_active_store",
     "summarize_session",

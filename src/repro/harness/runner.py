@@ -6,6 +6,10 @@ predictor, and a core scale factor.  Runs use trace-slice methodology: a
 warm-up window (caches, predictor, ACB tables, Dynamo) followed by a fresh
 measurement window.
 
+This module is the only one that resolves a configuration name:
+:func:`config_problem` validates it, :func:`canonical_config` folds its
+spellings together, and :func:`prepare_run` builds the core from it.
+
 Window sizes default to the reduced scale of DESIGN.md §6 and can be
 overridden through the ``REPRO_WARMUP`` / ``REPRO_MEASURE`` environment
 variables (or per call).
@@ -27,6 +31,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.acb import AcbConfig, AcbScheme
 from repro.baselines import DhpScheme, DmpPbhScheme, DmpScheme, WishScheme
+from repro.branch import PREDICTORS
 from repro.core import SKYLAKE_LIKE, Core, CoreConfig, scaled
 from repro.core.predication import PredicationScheme
 from repro.core.stats import SimStats
@@ -55,8 +60,7 @@ def reduced_acb_config() -> AcbConfig:
 
 
 #: ACB configuration names → ``AcbConfig`` field overrides applied on top of
-#: whatever base configuration the run uses (the suite default, or a
-#: trace-proportional one — see :func:`make_scheme`).
+#: whatever base configuration the run uses (see :func:`prepare_run`).
 ACB_VARIANTS: Dict[str, Dict[str, object]] = {
     "acb": {},
     "acb-nodynamo": {"dynamo_enabled": False},
@@ -73,9 +77,7 @@ def split_config(config: str) -> Tuple[str, Optional[str]]:
 
     Configuration names accept an optional ``@<predictor>`` suffix —
     ``"acb@bullseye"`` runs the ACB scheme over the Bullseye predictor.
-    Returns ``(scheme, predictor_or_None)``; plain names pass through
-    unchanged, so every existing call site can adopt the convention by
-    splitting first.
+    Returns ``(scheme, predictor_or_None)``.
     """
     if "@" in config:
         scheme, _, predictor = config.partition("@")
@@ -83,50 +85,56 @@ def split_config(config: str) -> Tuple[str, Optional[str]]:
     return config, None
 
 
-def make_scheme(
-    config: str, acb_config: Optional[AcbConfig] = None
-) -> Optional[PredicationScheme]:
-    """Instantiate the predication scheme for a configuration name.
-
-    ACB variants apply their field overrides to *acb_config* (default: the
-    reduced suite configuration), so the same variant can run at a
-    different window scale — trace workloads supply a base proportional to
-    their window length.  A ``@predictor`` suffix is ignored here (the
-    predictor is the core's concern, not the scheme's).
-    """
-    config, _ = split_config(config)
-    if config in ACB_VARIANTS:
-        base = acb_config if acb_config is not None else reduced_acb_config()
-        overrides = ACB_VARIANTS[config]
-        return AcbScheme(replace(base, **overrides) if overrides else base)
-    factory = SCHEME_FACTORIES.get(config)
-    if factory is None:
-        raise ValueError(
-            f"unknown config {config!r}; choose from {sorted(SCHEME_FACTORIES)}"
-        )
-    return factory()
-
-
-def _acb_factory(name: str) -> Callable[[], Optional[PredicationScheme]]:
-    return lambda: make_scheme(name)
-
-
-#: Configuration name → scheme factory (None = no predication).
-SCHEME_FACTORIES: Dict[str, Callable[[], Optional[PredicationScheme]]] = {
-    "baseline": lambda: None,
-    "oracle-bp": lambda: None,   # perfect branch prediction (predictor swap)
-    "acb": _acb_factory("acb"),
-    "acb-nodynamo": _acb_factory("acb-nodynamo"),
-    "acb-select": _acb_factory("acb-select"),
-    "acb-pbh": _acb_factory("acb-pbh"),
-    "acb-stalls": _acb_factory("acb-stalls"),
-    "acb-multireconv": _acb_factory("acb-multireconv"),
-    "acb-dmp-reconv": _acb_factory("acb-dmp-reconv"),
-    "dmp": lambda: DmpScheme(),
-    "dmp-pbh": lambda: DmpPbhScheme(),
-    "dhp": lambda: DhpScheme(),
-    "wish": lambda: WishScheme(),
+#: Configuration name → scheme factory, called with the run's base
+#: ``AcbConfig`` (only the ACB variants read it); ``None`` = no predication.
+SCHEME_FACTORIES: Dict[str, Callable[[AcbConfig], Optional[PredicationScheme]]] = {
+    "baseline": lambda base: None,
+    "oracle-bp": lambda base: None,   # perfect branch prediction (predictor swap)
+    **{
+        name: (lambda base, overrides=overrides: AcbScheme(replace(base, **overrides)))
+        for name, overrides in ACB_VARIANTS.items()
+    },
+    "dmp": lambda base: DmpScheme(),
+    "dmp-pbh": lambda base: DmpPbhScheme(),
+    "dhp": lambda base: DhpScheme(),
+    "wish": lambda base: WishScheme(),
 }
+
+
+def config_problem(config: object, predictor: Optional[str] = None) -> Optional[str]:
+    """What is wrong with configuration name *config* (and an explicit
+    *predictor*), or ``None`` when it names a runnable cell.
+
+    The one check behind the CLI's argument types, the HTTP API's request
+    validation and :func:`prepare_run`.
+    """
+    if not isinstance(config, str) or not config:
+        return f"config must be a non-empty string, got {config!r}"
+    scheme, suffix = split_config(config)
+    if scheme not in SCHEME_FACTORIES:
+        return (
+            f"unknown config {scheme!r}; choose from {sorted(SCHEME_FACTORIES)} "
+            f"(optionally suffixed '@<predictor>', e.g. acb@bullseye)"
+        )
+    for name in (suffix, predictor):
+        if name is not None and name not in PREDICTORS:
+            return f"unknown predictor {name!r}; choose from {sorted(PREDICTORS)}"
+    return None
+
+
+def canonical_config(
+    config: str, predictor: Optional[str] = None
+) -> Tuple[str, Optional[str]]:
+    """The ``(scheme name, predictor)`` a configuration name denotes.
+
+    A ``@predictor`` suffix overrides *predictor*, and ``oracle-bp`` is
+    ``baseline`` with the predictor forced to ``oracle``, whichever one
+    was asked for.
+    """
+    scheme, suffix = split_config(config)
+    if scheme == "oracle-bp":
+        return "baseline", "oracle"
+    return scheme, suffix if suffix is not None else predictor
 
 
 def resolve_workload(name: str) -> Workload:
@@ -139,26 +147,6 @@ def resolve_workload(name: str) -> Workload:
         return load_frontier_workload(name)
     (workload,) = load_suite([name])
     return workload
-
-
-def scheme_for(
-    workload_obj: Workload,
-    config: str,
-    acb_config: Optional[AcbConfig] = None,
-) -> Optional[PredicationScheme]:
-    """Scheme for *config* run on *workload_obj*.
-
-    Trace-replay workloads loop a short recorded window, so ACB variants
-    default to an ``AcbConfig`` reduced by the trace's proportional scale
-    (EXPERIMENTS.md methodology) instead of the suite-wide one.
-    """
-    if (
-        acb_config is None
-        and split_config(config)[0] in ACB_VARIANTS
-        and isinstance(workload_obj, TraceReplayWorkload)
-    ):
-        acb_config = AcbConfig().reduced(workload_obj.acb_scale)
-    return make_scheme(config, acb_config=acb_config)
 
 
 @dataclass
@@ -186,25 +174,16 @@ def normalized_run_key(
 ) -> Tuple[str, str, int, Optional[str], int, int]:
     """Canonical memo/store key for a suite-workload run.
 
-    ``oracle-bp`` is ``baseline`` with the predictor forcibly swapped to
-    ``oracle`` — any ``predictor`` argument is ignored by the simulator.
-    Normalizing here means the two spellings share one cell instead
-    of aliasing (``oracle-bp`` + stale predictor in the key) or missing
-    (re-simulating a ``predictor="oracle"`` baseline already in the store).
+    The configuration is keyed by :func:`canonical_config`, so spellings
+    that denote the identical simulation share one cell: ``oracle-bp``
+    and ``baseline`` with ``predictor="oracle"``, or ``"acb@bullseye"``
+    and ``config="acb", predictor="bullseye"``.
 
     Trace workloads are keyed by *content*: the ``trace:<ref>`` name is
     extended with a digest of the trace file's bytes, so re-converting or
     editing a trace in place can never serve stale cached results.
-
-    ``@predictor`` config spellings normalize the same way: the suffix is
-    folded into the predictor slot, so ``"acb@bullseye"`` and
-    ``config="acb", predictor="bullseye"`` share one cell.
     """
-    config, cfg_predictor = split_config(config)
-    if cfg_predictor is not None:
-        predictor = cfg_predictor
-    if config == "oracle-bp":
-        config, predictor = "baseline", "oracle"
+    config, predictor = canonical_config(config, predictor)
     if is_trace_name(workload):
         digest = trace_content_digest(resolve_trace_path(workload))
         workload = f"{workload}@{digest}"
@@ -286,23 +265,24 @@ def prepare_run(
 ) -> Tuple[CoreConfig, Optional[PredicationScheme], Optional[str]]:
     """Resolve one cell's ``(core config, scheme, predictor)``.
 
-    The single source of truth for how a named configuration turns into
-    :class:`~repro.core.Core` constructor arguments.
+    The only code that turns a configuration name into
+    :class:`~repro.core.Core` constructor arguments.  ACB variants apply
+    their :data:`ACB_VARIANTS` overrides to *acb_config*, which defaults
+    to :func:`reduced_acb_config` — or, for a trace-replay workload, which
+    loops a short recorded window, to an ``AcbConfig`` reduced by the
+    trace's proportional scale (EXPERIMENTS.md methodology).
     """
-    scheme_name, cfg_predictor = split_config(config)
-    if scheme_name not in SCHEME_FACTORIES:
-        raise ValueError(
-            f"unknown config {scheme_name!r}; "
-            f"choose from {sorted(SCHEME_FACTORIES)} "
-            f"(optionally suffixed '@<predictor>')"
-        )
-    if cfg_predictor is not None:
-        predictor = cfg_predictor
-    scheme = scheme_for(workload_obj, config, acb_config=acb_config)
+    problem = config_problem(config, predictor)
+    if problem is not None:
+        raise ValueError(problem)
+    scheme_name, predictor = canonical_config(config, predictor)
+    if acb_config is None:
+        if isinstance(workload_obj, TraceReplayWorkload):
+            acb_config = AcbConfig().reduced(workload_obj.acb_scale)
+        else:
+            acb_config = reduced_acb_config()
     cfg = core_config if core_config is not None else scaled(core_scale, SKYLAKE_LIKE)
-    if scheme_name == "oracle-bp":
-        predictor = "oracle"
-    return cfg, scheme, predictor
+    return cfg, SCHEME_FACTORIES[scheme_name](acb_config), predictor
 
 
 def run_workload(

@@ -29,7 +29,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.harness.cache import set_active_store
 from repro.harness.parallel import RunRequest
-from repro.harness.runner import SCHEME_FACTORIES, split_config
+from repro.harness.runner import config_problem
 from repro.service.jobs import JobQueue, new_job_id
 from repro.service.store import (
     DEFAULT_LEASE_TTL,
@@ -118,22 +118,6 @@ def _validate_workload(name: Any) -> Optional[str]:
         f"unknown workload {name!r}: not a suite workload, not a frontier "
         f"workload, and not a trace:<name-or-path> reference"
     )
-
-
-def _validate_config(name: Any) -> Optional[str]:
-    from repro.branch import PREDICTORS
-
-    if not isinstance(name, str) or not name:
-        return f"config must be a non-empty string, got {name!r}"
-    scheme, predictor = split_config(name)
-    if scheme not in SCHEME_FACTORIES:
-        return (
-            f"unknown config {scheme!r}; choose from "
-            f"{sorted(SCHEME_FACTORIES)} (optionally '@<predictor>')"
-        )
-    if predictor is not None and predictor not in PREDICTORS:
-        return f"unknown predictor {predictor!r}; choose from {sorted(PREDICTORS)}"
-    return None
 
 
 def _int_field(payload: Dict, field: str, problems: List[str]) -> Optional[int]:
@@ -230,15 +214,10 @@ def parse_matrix(payload: Any) -> List[RunRequest]:
         error = _validate_workload(merged.get("workload"))
         if error:
             cell_problems.append(error)
-        error = _validate_config(merged.get("config", "baseline"))
+        predictor = merged.get("predictor")
+        error = config_problem(merged.get("config", "baseline"), predictor)
         if error:
             cell_problems.append(error)
-        predictor = merged.get("predictor")
-        if predictor is not None:
-            from repro.branch import PREDICTORS
-
-            if predictor not in PREDICTORS:
-                cell_problems.append(f"unknown predictor {predictor!r}")
         if cell_problems:
             problems.extend(f"cells[{i}]: {p}" for p in cell_problems)
             continue
@@ -544,7 +523,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if error:
             problems.append(error)
         config = payload.get("config", "acb")
-        error = _validate_config(config)
+        error = config_problem(config)
         if error:
             problems.append(error)
         formats = payload.get("formats")

@@ -14,9 +14,9 @@ import time
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
-from repro.core import SKYLAKE_LIKE, Core, scaled
+from repro.core import Core
 from repro.core.stats import SimStats
-from repro.harness.runner import resolve_workload, scheme_for, split_config
+from repro.harness.runner import prepare_run, resolve_workload
 from repro.trace.chrome import export_chrome
 from repro.trace.config import TraceConfig
 from repro.trace.konata import export_konata
@@ -80,11 +80,8 @@ def run_traced(
 
     workload = resolve_workload(workload_ref)
     trace_cfg = TraceConfig(uop_capacity=uop_capacity, acb_capacity=acb_capacity)
-    core_cfg = replace(scaled(scale, SKYLAKE_LIKE), trace=trace_cfg)
-    scheme = scheme_for(workload, config)
-    scheme_name, predictor = split_config(config)
-    if scheme_name == "oracle-bp":
-        predictor = "oracle"
+    core_cfg, scheme, predictor = prepare_run(workload, config, core_scale=scale)
+    core_cfg = replace(core_cfg, trace=trace_cfg)
 
     started = time.perf_counter()
     core = Core(workload, core_cfg, scheme=scheme, predictor=predictor)

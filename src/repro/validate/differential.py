@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
-from repro.core import SKYLAKE_LIKE, Core, CoreConfig, DeadlockError
-from repro.harness.runner import SCHEME_FACTORIES, split_config
+from repro.core import Core, CoreConfig, DeadlockError
+from repro.harness.runner import prepare_run
 from repro.validate.checker import InvariantViolation
 from repro.validate.events import RetireEvent, diff_traces
 from repro.validate.golden import GoldenExecutor
@@ -51,26 +51,6 @@ class ConfigTrace:
     failure: Optional[ValidationFailure] = None
 
 
-def _scheme_and_predictor(config: str):
-    """``(scheme, predictor_or_None)`` for a ``name[@predictor]`` config.
-
-    The differential checker accepts the same ``@<predictor>`` spellings as
-    the harness, so the fuzzer can cross-check e.g. ``acb@bullseye``: the
-    architectural trace must stay identical no matter which predictor is
-    steering speculation.
-    """
-    scheme_name, predictor = split_config(config)
-    if scheme_name not in SCHEME_FACTORIES:
-        raise ValueError(
-            f"unknown config {scheme_name!r}; "
-            f"choose from {sorted(SCHEME_FACTORIES)} "
-            f"(optionally suffixed '@<predictor>')"
-        )
-    if scheme_name == "oracle-bp":
-        predictor = "oracle"
-    return SCHEME_FACTORIES[scheme_name](), predictor
-
-
 def run_config_trace(
     workload: Workload,
     config: str,
@@ -78,11 +58,15 @@ def run_config_trace(
     core_config: Optional[CoreConfig] = None,
     debug_checks: bool = True,
 ) -> ConfigTrace:
-    """Run *workload* under *config* and capture its architectural trace."""
-    cfg = core_config if core_config is not None else SKYLAKE_LIKE
+    """Run *workload* under *config* and capture its architectural trace.
+
+    *config* is any harness configuration name, ``@<predictor>`` spellings
+    included: the architectural trace must stay identical no matter which
+    scheme or predictor steers speculation.
+    """
+    cfg, scheme, predictor = prepare_run(workload, config, core_config=core_config)
     if debug_checks and not cfg.debug_checks:
         cfg = replace(cfg, debug_checks=True)
-    scheme, predictor = _scheme_and_predictor(config)
     core = Core(workload, cfg, scheme=scheme, predictor=predictor)
     trace = core.enable_arch_trace()
     out = ConfigTrace(config=config, trace=trace, checker_summary={})
@@ -110,10 +94,13 @@ def check_workload(
     configs: Sequence[str] = DEFAULT_CONFIGS,
     core_config: Optional[CoreConfig] = None,
     debug_checks: bool = True,
+    regions: Optional[Dict[str, int]] = None,
 ) -> Optional[ValidationFailure]:
     """Cross-check golden vs. every timing configuration on one workload.
 
     Returns ``None`` when everything agrees, else the first failure found.
+    When *regions* is given, each configuration's count of predicated
+    regions opened is added to it under the configuration's name.
     Each configuration's trace is compared against the golden trace truncated
     to the same length (runs stop mid-retire-group, so a config may retire a
     handful of events past the instruction budget).
@@ -124,6 +111,10 @@ def check_workload(
             workload, config, instructions,
             core_config=core_config, debug_checks=debug_checks,
         )
+        if regions is not None:
+            regions[config] = (
+                regions.get(config, 0) + run.checker_summary.get("regions_opened", 0)
+            )
         if run.failure is not None:
             return run.failure
         if len(run.trace) < instructions:

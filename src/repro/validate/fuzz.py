@@ -18,8 +18,9 @@ import json
 import os
 import random
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.parallel import default_jobs, run_tasks
 from repro.validate.differential import (
@@ -131,11 +132,19 @@ def fuzz_seed(
     seed: int,
     configs: Sequence[str] = DEFAULT_CONFIGS,
     instructions: int = 1200,
+    regions: Optional[Dict[str, int]] = None,
 ) -> Optional[ValidationFailure]:
-    """Cross-check the random program for *seed*; ``None`` means it passed."""
+    """Cross-check the random program for *seed*; ``None`` means it passed.
+
+    *regions*, when given, collects each configuration's regions opened
+    (see :func:`~repro.validate.differential.check_workload`).
+    """
     spec = random_spec(seed)
     try:
-        return check_workload(_build(spec), instructions=instructions, configs=configs)
+        return check_workload(
+            _build(spec), instructions=instructions, configs=configs,
+            regions=regions,
+        )
     except Exception as exc:  # driver bug or unpicklable engine error
         return ValidationFailure(
             kind="error",
@@ -146,10 +155,14 @@ def fuzz_seed(
 
 
 def _fuzz_cell(args: Tuple[int, Tuple[str, ...], int]):
-    """Pool worker: one seed → (seed, failure-or-None).  Must stay top-level
-    and must never raise, so results always pickle back to the parent."""
+    """Pool worker: one seed → (seed, failure-or-None, regions opened per
+    config).  Must stay top-level and must never raise, so results always
+    pickle back to the parent."""
     seed, configs, instructions = args
-    return seed, fuzz_seed(seed, configs=configs, instructions=instructions)
+    regions: Dict[str, int] = {}
+    failure = fuzz_seed(seed, configs=configs, instructions=instructions,
+                        regions=regions)
+    return seed, failure, regions
 
 
 # ----------------------------------------------------------------------
@@ -263,6 +276,10 @@ class FuzzReport:
     failures: List[FuzzFailure] = field(default_factory=list)
     elapsed: float = 0.0
     budget_exhausted: bool = False
+    #: config → predicated regions opened, summed over completed seeds
+    regions_opened: Counter[str] = field(default_factory=Counter)
+    #: config → completed seeds on which it opened at least one region
+    seeds_with_regions: Counter[str] = field(default_factory=Counter)
 
     @property
     def ok(self) -> bool:
@@ -341,8 +358,10 @@ def run_fuzz(
         outcomes = run_tasks(
             _fuzz_cell, [(s, configs, instructions) for s in batch], jobs=jobs
         )
-        for seed, failure in outcomes:
+        for seed, failure, regions in outcomes:
             report.completed += 1
+            report.regions_opened.update(regions)
+            report.seeds_with_regions.update(c for c, n in regions.items() if n)
             if failure is None:
                 continue
             say(f"seed {seed}: {failure.describe()}")

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -38,6 +39,18 @@ class TestCli:
         assert main(["compare", "lammps", "baseline", "acb"]) == 0
         out = capsys.readouterr().out
         assert "vs first" in out
+
+    def test_validate_reports_regions_opened(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        assert main(["validate", "--seeds", "2", "--configs", "baseline,dmp",
+                     "--repro-dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("validate: OK — 2/2 seeds")
+        assert lines[1] == "  regions opened by baseline: 0 on 0/2 seeds"
+        opened, seeds = re.fullmatch(
+            r"  regions opened by dmp: (\d+) on (\d)/2 seeds", lines[2]
+        ).groups()
+        assert int(opened) > 0 and int(seeds) > 0
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):

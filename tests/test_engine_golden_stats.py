@@ -28,7 +28,7 @@ import os
 import pytest
 
 from repro.core import SKYLAKE_LIKE, Core
-from repro.harness.runner import SCHEME_FACTORIES, split_config
+from repro.harness.runner import SCHEME_FACTORIES, prepare_run
 from repro.validate.fuzz import random_spec
 from repro.workloads.generator import build_workload
 
@@ -52,11 +52,8 @@ INSTRUCTIONS = 400
 def simulate(seed: int, config: str) -> dict:
     """One deterministic run; returns the JSON-normalized stats dict."""
     workload = build_workload(random_spec(seed))
-    scheme_name, predictor = split_config(config)
-    scheme = SCHEME_FACTORIES[scheme_name]()
-    if scheme_name == "oracle-bp":
-        predictor = "oracle"
-    core = Core(workload, SKYLAKE_LIKE, scheme=scheme, predictor=predictor)
+    cfg, scheme, predictor = prepare_run(workload, config, core_config=SKYLAKE_LIKE)
+    core = Core(workload, cfg, scheme=scheme, predictor=predictor)
     stats = core.run(INSTRUCTIONS)
     # round-trip through JSON so the comparison matches what the golden
     # file stores (string keys, no tuples)

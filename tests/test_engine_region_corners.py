@@ -95,8 +95,9 @@ class TestInnerBranchInsideRegion:
 class TestCycleTimeout:
     def test_stale_open_region_diverges_on_cycle_budget(self):
         """White-box: an open region whose cycle budget lapses must be
-        declared divergent by the per-cycle timeout tick (the deadlock
-        backstop for regions the fetch stream can never finish)."""
+        declared divergent by the timeout check at the end of ``_fetch``
+        (the deadlock backstop for regions the fetch stream can never
+        finish)."""
         workload = inner_branch_workload()
         pc = workload.program.cond_branch_pcs()[0]
         scheme = PredicateAt(pc, workload.program[pc].target, conv_type=1,
@@ -110,7 +111,10 @@ class TestCycleTimeout:
         assert core.region is not None
         region = core.region
         region.opened_cycle = core.cycle - 10_000  # simulate a stale region
-        core._tick_region_timeout()
+        # fetch is live and the group stops short of the reconvergence
+        # point, so only the closing timeout check can end the region
+        assert not core.fetch_halted and core.cycle >= core.fetch_resume_cycle
+        core._fetch()
         assert core.region is None
         assert region.branch.diverged
         assert core.fetch_halted  # waiting for the divergence flush

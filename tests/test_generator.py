@@ -67,12 +67,12 @@ class TestType3PlusShapes:
     backend may accept them."""
 
     def _run_scheme(self, shape, config, n=6000, **hammock_kw):
-        from repro.core import SKYLAKE_LIKE, Core
-        from repro.harness.runner import make_scheme
+        from repro.core import Core
+        from repro.harness.runner import prepare_run
 
         workload = gen(hammock=HammockSpec(shape=shape, p=0.5, **hammock_kw))
-        scheme = make_scheme(config)
-        Core(workload, SKYLAKE_LIKE, scheme=scheme).run(n)
+        cfg, scheme, _ = prepare_run(workload, config)
+        Core(workload, cfg, scheme=scheme).run(n)
         return scheme
 
     def test_loop_body_emits_inner_counted_loop(self):

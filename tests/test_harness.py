@@ -1,6 +1,8 @@
 """Tests for the experiment harness (runner, reporting, drivers)."""
 
 import os
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +21,13 @@ from repro.harness.experiments import (
     table2_core_params,
     table3_workloads,
 )
-from repro.harness.runner import SCHEME_FACTORIES
+from repro.harness.runner import (
+    ACB_VARIANTS,
+    SCHEME_FACTORIES,
+    config_problem,
+    prepare_run,
+    reduced_acb_config,
+)
 from tests.conftest import h2p_hammock_workload
 
 
@@ -64,6 +72,44 @@ class TestRunner:
     def test_unknown_config_raises(self):
         with pytest.raises(ValueError):
             run_workload(h2p_hammock_workload(), "magic", **FAST)
+
+    def test_acb_variants_apply_their_overrides(self):
+        workload = h2p_hammock_workload()
+        for name, overrides in ACB_VARIANTS.items():
+            _, scheme, _ = prepare_run(workload, name)
+            assert scheme.config == replace(reduced_acb_config(), **overrides), name
+
+    def test_oracle_bp_forces_the_oracle_predictor(self):
+        workload = h2p_hammock_workload()
+        for config, predictor in (("oracle-bp", None), ("oracle-bp@tage", "gshare")):
+            _, scheme, chosen = prepare_run(workload, config, predictor=predictor)
+            assert scheme is None and chosen == "oracle"
+        assert prepare_run(workload, "acb@bullseye", predictor="tage")[2] == "bullseye"
+
+    @pytest.mark.parametrize("config,predictor,needle", [
+        ("magic", None, "unknown config 'magic'"),
+        ("acb@nope", None, "unknown predictor 'nope'"),
+        ("acb", "nope", "unknown predictor 'nope'"),
+    ])
+    def test_one_message_on_every_surface(self, config, predictor, needle):
+        """The CLI, the HTTP API and prepare_run reject a bad name with the
+        text of the one check."""
+        import argparse
+
+        from repro.__main__ import _config_ref
+        from repro.service.app import BadRequest, parse_matrix
+
+        problem = config_problem(config, predictor)
+        assert needle in problem
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            prepare_run(h2p_hammock_workload(), config, predictor=predictor)
+        cell = {"workload": "lammps", "config": config, "predictor": predictor}
+        with pytest.raises(BadRequest) as exc:
+            parse_matrix({"cells": [cell]})
+        assert exc.value.problems == [f"cells[0]: {problem}"]
+        if predictor is None:
+            with pytest.raises(argparse.ArgumentTypeError, match=re.escape(problem)):
+                _config_ref(config)
 
     def test_oracle_bp_has_no_flushes(self):
         result = run_workload(h2p_hammock_workload(), "oracle-bp", **FAST)

@@ -18,9 +18,9 @@ import pytest
 from repro import __main__ as cli
 from repro.harness.runner import (
     normalized_run_key,
+    prepare_run,
     resolve_workload,
     run_workload,
-    scheme_for,
 )
 from repro.workloads.trace import (
     H2P_MIN_SHARE,
@@ -176,7 +176,7 @@ class TestDeterminism:
 
     def test_trace_scheme_uses_proportional_scale(self):
         workload = load_trace_workload("trace:h2p_loop")
-        scheme = scheme_for(workload, "acb")
+        _, scheme, _ = prepare_run(workload, "acb")
         from repro.harness.runner import reduced_acb_config
 
         expected_window = (
