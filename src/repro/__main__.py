@@ -145,6 +145,11 @@ def _config_ref(name: str) -> str:
     return name
 
 
+def _config_list(text: str) -> tuple[str, ...]:
+    """argparse type: comma-separated configuration names."""
+    return tuple(_config_ref(c.strip()) for c in text.split(",") if c.strip())
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     # one-cell matrix rather than a bare run_workload() call, so the
     # --backend / --jobs plumbing applies to `run` too
@@ -223,7 +228,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"{args.replay}: still failing\n  {failure.describe()}")
         return 1
 
-    configs = tuple(c.strip() for c in args.configs.split(",") if c.strip())
+    configs = args.configs
     report = run_fuzz(
         seeds=args.seeds,
         start_seed=args.start_seed,
@@ -645,6 +650,7 @@ def main(argv=None) -> int:
     p_val.add_argument("--budget", type=_parse_budget, default=None,
                        metavar="TIME", help="wall-clock budget, e.g. 120s or 2m")
     p_val.add_argument("--configs", default=",".join(DEFAULT_CONFIGS),
+                       type=_config_list,
                        help="comma-separated timing configurations to check "
                             "(scheme names, optionally @<predictor>)")
     p_val.add_argument("--instructions", type=int, default=1200,

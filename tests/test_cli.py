@@ -52,6 +52,11 @@ class TestCli:
         ).groups()
         assert int(opened) > 0 and int(seeds) > 0
 
+    def test_validate_rejects_unknown_config(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["validate", "--configs", "baseline,magic"])
+        assert "unknown config 'magic'" in capsys.readouterr().err
+
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "quake3"])
