@@ -99,8 +99,8 @@ def check_workload(
     """Cross-check golden vs. every timing configuration on one workload.
 
     Returns ``None`` when everything agrees, else the first failure found.
-    When *regions* is given, each configuration's count of predicated
-    regions opened is added to it under the configuration's name.
+    When *regions* is given, it records each configuration's count of
+    predicated regions opened.
     Each configuration's trace is compared against the golden trace truncated
     to the same length (runs stop mid-retire-group, so a config may retire a
     handful of events past the instruction budget).
@@ -112,9 +112,7 @@ def check_workload(
             core_config=core_config, debug_checks=debug_checks,
         )
         if regions is not None:
-            regions[config] = (
-                regions.get(config, 0) + run.checker_summary.get("regions_opened", 0)
-            )
+            regions[config] = run.checker_summary.get("regions_opened", 0)
         if run.failure is not None:
             return run.failure
         if len(run.trace) < instructions:
